@@ -7,6 +7,7 @@ from .errors import (
     EmptySpectrum,
     LmgError,
     MethodUnavailable,
+    NonFiniteInput,
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
@@ -34,6 +35,7 @@ from .models import (
     h_minus_elements,
     params_from_chi,
     parity_blocks_susy,
+    supercharge_chain,
     susy_sector_blocks,
 )
 from .susy import (
@@ -47,7 +49,6 @@ from .susy import (
 )
 from .eigensolve import (
     CharPoly,
-    EigRequest,
     GapResult,
     charpoly_dense,
     charpoly_tridiag,
@@ -55,7 +56,7 @@ from .eigensolve import (
     eig_dense_symmetric,
     eig_symtridiag,
     spectral_gap,
-    sturm_count,
+    supercharge_sigma_min,
     symmetrize_tridiag,
 )
 from .groundstate import GroundState, ground_state, legendre_p

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .eigensolve import eig_dense_symmetric, spectral_gap
+from .eigensolve import eig_dense_symmetric, spectral_gap, supercharge_sigma_min
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
 from .models import ModelParams, build_lmg_general, build_susy_rotated, extract_hn_blocks, \
@@ -58,11 +58,18 @@ def parse_j_values(text: str) -> list:
         raise ConfigError(str(exc))
 
 
+def parse_gamma(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"--gamma: not a number: {text!r}") from None
+
+
 def gamma_grid(args) -> list:
     if args.gamma is not None:
         if args.gamma_min is not None or args.gamma_max is not None:
             raise ConfigError("--gamma conflicts with --gamma-min/--gamma-max")
-        return [float(tok) for tok in args.gamma.split(",") if tok]
+        return [parse_gamma(tok) for tok in args.gamma.split(",") if tok]
     if args.gamma_min is None or args.gamma_max is None:
         raise ConfigError("need --gamma or both --gamma-min and --gamma-max")
     steps = args.steps
@@ -78,7 +85,11 @@ def thread_count(args) -> int:
     if args.threads is not None:
         n = args.threads
     elif os.environ.get("LMG_THREADS"):
-        n = int(os.environ["LMG_THREADS"])
+        text = os.environ["LMG_THREADS"]
+        try:
+            n = int(text)
+        except ValueError:
+            raise ConfigError(f"LMG_THREADS: not an integer: {text!r}") from None
     else:
         n = os.cpu_count() or 1
     if n < 1:
@@ -236,7 +247,7 @@ def cmd_gap_scan(args) -> int:
 
 def cmd_susy_check(args) -> int:
     jv = SpinJ.from_j(args.j)
-    g = float(args.gamma_value)
+    g = parse_gamma(args.gamma_value)
     tol = args.tol
     checks = []        # (name, passed, detail)
 
@@ -279,7 +290,10 @@ def cmd_susy_check(args) -> int:
             checks.append(("h_minus_elementwise", elem_ok, 0.0))
         checks.append(("spectrum_classification", report.verdict == "SusyPattern", report.verdict))
     else:
-        broken_ok = report.verdict == "SusyBroken" and float(eigs[0]) > 0.0
+        # The ground energy sigma_min^2 (at |gamma|: m -> -m maps H(gamma) to
+        # H(-gamma)) sinks below the rounding error of the dense eigs[0] once
+        # |gamma|(2J+1) >~ 8; sigma is tested, as its square can underflow.
+        broken_ok = report.verdict == "SusyBroken" and supercharge_sigma_min(jv, abs(g)) > 0.0
         checks.append(("spectrum_classification_broken", broken_ok, report.verdict))
 
     all_pass = all(ok for _, ok, _ in checks)
@@ -310,7 +324,7 @@ GROUND_HEADER = ["m", "amplitude"]
 
 def cmd_ground_state(args) -> int:
     jv = SpinJ.from_j(args.j)
-    g = float(args.gamma_value)
+    g = parse_gamma(args.gamma_value)
     state = ground_state(jv, g)
     ms = jv.m_values()
     rows = [(int(m), float(a)) for m, a in zip(ms, state.amplitudes)]

@@ -1,9 +1,13 @@
 """Eigenvalue machinery.
 
-* Bisection for eigenvalues of symmetric tridiagonal matrices — the
-  O(J)-memory large-J path behind the spectral-gap scans.  The smallest
-  eigenvalue is bisected with LAPACK dpttrf as the step, any other with a
-  Sturm count.
+* The spectral gap as sigma_min^2 of the supercharge's bidiagonal block: one
+  LAPACK dstebz bisection on its zero-diagonal Golub-Kahan form, with high
+  relative accuracy (|gap(J, 0) - 1| measured 6.7e-15 at J = 1000 and
+  5.7e-14 at J = 20000; within 9.3e-16 relative of a 30-digit mpmath gap for
+  J <= 30, |gamma| <= 3).  Used up to J = 20000.
+* Above that, the smallest eigenvalue of the gap-sector block by bisection
+  with LAPACK dpttrf as the step: faster at large J, absolute error
+  ~eps*||block|| ~ eps*J^2.
 * A dense symmetric oracle (LAPACK eigvalsh) for desk-scale cross-checks.
 * Characteristic polynomials: a three-term recurrence for tridiagonal
   matrices and a Faddeev-LeVerrier trace recursion for small dense matrices,
@@ -19,25 +23,26 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf
 
 from .errors import (
     DimensionTooLarge,
     MethodUnavailable,
+    NonFiniteInput,
     NotIntegerSpin,
     NotSymmetric,
     SignViolation,
 )
-from .models import gap_sector_tridiag
+from .models import gap_sector_tridiag, supercharge_chain
 from .spin import SpinJ
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
-    "EigRequest",
     "CharPoly",
     "GapResult",
-    "sturm_count",
     "eig_symtridiag",
+    "supercharge_sigma_min",
     "eig_dense_symmetric",
     "charpoly_tridiag",
     "charpoly_dense",
@@ -57,57 +62,6 @@ def _guard_scale(t: SymTridiag) -> float:
     return _EPS * max(1.0, hi)
 
 
-def sturm_count(t: SymTridiag, x: float) -> int:
-    """Number of eigenvalues of t strictly less than x.
-
-    Shifted LDL^T recurrence d_1 = diag[0]-x, d_{i+1} = (diag[i]-x) -
-    off[i]^2/d_i; zero pivots are replaced by a tiny negative multiple of
-    the matrix scale.  Total function, monotone nondecreasing in x.
-    """
-    if t.n == 0:
-        return 0
-    diag, off, x, guard = t.diag, t.off, float(x), _guard_scale(t)
-    count = 0
-    d = diag[0] - x
-    if d == 0.0:
-        d = -guard
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = (diag[i] - x) - off[i - 1] * off[i - 1] / d
-        if d == 0.0:
-            d = -guard
-        if d < 0.0:
-            count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class EigRequest:
-    """Which eigenvalues to extract, and the bisection width target."""
-
-    which: str                  # "all" | "smallest" | "kth" | "interval"
-    k: int = 0
-    interval: tuple = ()
-    abs_tol: float = 1e-12
-
-    @classmethod
-    def all(cls, abs_tol: float = 1e-12) -> "EigRequest":
-        return cls(which="all", abs_tol=abs_tol)
-
-    @classmethod
-    def smallest(cls, abs_tol: float = 1e-12) -> "EigRequest":
-        return cls(which="smallest", abs_tol=abs_tol)
-
-    @classmethod
-    def kth(cls, k: int, abs_tol: float = 1e-12) -> "EigRequest":
-        return cls(which="kth", k=k, abs_tol=abs_tol)
-
-    @classmethod
-    def in_interval(cls, lo: float, hi: float, abs_tol: float = 1e-12) -> "EigRequest":
-        return cls(which="interval", interval=(lo, hi), abs_tol=abs_tol)
-
-
 def _gershgorin(t: SymTridiag) -> tuple:
     radius = np.zeros(t.n)
     if t.n > 1:
@@ -119,120 +73,56 @@ def _gershgorin(t: SymTridiag) -> tuple:
     return lo, hi
 
 
-_POLISH_MAX_N = 20000
-_EPS_LD = float(np.finfo(np.longdouble).eps)
+_BISECT_ABS_TOL = 1e-12
 
 
-def _polish_kth_ld(t: SymTridiag, k: int, lo: float, hi: float) -> float:
-    """Extended-precision re-bisection around a converged float64 bracket.
+def eig_symtridiag(t: SymTridiag) -> np.ndarray:
+    """Smallest eigenvalue of a symmetric tridiagonal matrix, as a length-1
+    array (empty for an empty matrix).
 
-    A float64 Sturm count locates eigenvalue transitions only to a few ulps
-    of the matrix norm, which at norm ~ J^2 leaves an absolute bias well
-    above 1e-12.  Re-running the count in long double around a padded
-    bracket (the padding covers the float64 bias) brings the absolute error
-    down to ~eps_longdouble * ||T||.
-    """
-    scale = max(1.0, _guard_scale(t) / _EPS)
-    diag_ld = t.diag.astype(np.longdouble)
-    off2_ld = np.square(t.off.astype(np.longdouble))
-    guard = np.longdouble(_EPS_LD * scale)
-    pad = np.longdouble(256.0 * _EPS * scale)
-    a = np.longdouble(lo) - pad
-    b = np.longdouble(hi) + pad
-    target = np.longdouble(max(1e-14, 8.0 * _EPS_LD * scale))
-    n = len(diag_ld)
-    while b - a > target:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        count = 0
-        d = diag_ld[0] - mid
-        if d == 0.0:
-            d = -guard
-        if d < 0.0:
-            count += 1
-        for i in range(1, n):
-            d = (diag_ld[i] - mid) - off2_ld[i - 1] / d
-            if d == 0.0:
-                d = -guard
-            if d < 0.0:
-                count += 1
-        if count >= k + 1:
-            b = mid
-        else:
-            a = mid
-    return float(0.5 * (a + b))
-
-
-def _min_below(t: SymTridiag):
-    """Predicate x -> "lambda_min(t) <= x" for one solve.
-
-    dpttrf runs the same LDL^T pivot recurrence as sturm_count on t - x*I
-    and reports a nonzero info at the first pivot <= 0, i.e. when t - x*I is
-    not positive definite.  The shifted diagonal is allocated once here and
-    overwritten by every call.
-    """
-    shifted = np.empty(t.n)
-    off = t.off if t.n > 1 else np.zeros(1)  # the wrapper rejects an empty e
-
-    def below(x: float) -> bool:
-        np.subtract(t.diag, x, out=shifted)
-        return dpttrf(shifted, off, overwrite_d=1)[2] != 0
-
-    return below
-
-
-def _bisect_kth(t: SymTridiag, k: int, lo: float, hi: float, abs_tol: float) -> float:
-    """Bisect for the k-th smallest eigenvalue (0-based) within [lo, hi].
-
-    Each float64 step is one compiled LAPACK dpttrf pass for k = 0 and one
-    sturm_count for k > 0.  After the float64 phase converges, matrices small
-    enough for a pure Python pass get a long-double polish (see
-    _polish_kth_ld).
-    """
-    below = _min_below(t) if k == 0 else lambda x: sturm_count(t, x) >= k + 1
-    while True:
-        width = hi - lo
-        if width <= max(abs_tol, 4.0 * _EPS * max(abs(lo), abs(hi))):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval no longer splittable in floats
-            break
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    if t.n <= _POLISH_MAX_N:
-        return _polish_kth_ld(t, k, lo, hi)
-    return 0.5 * (lo + hi)
-
-
-def eig_symtridiag(t: SymTridiag, req: EigRequest = EigRequest.all()) -> np.ndarray:
-    """Requested eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    Bisection within Gershgorin bounds, stepped by LAPACK dpttrf for the
-    smallest eigenvalue and by sturm_count otherwise; each returned value is
-    bracketed to width <= req.abs_tol (or a few ulps of the bracket).  The
-    smallest-eigenvalue path needs O(n) workspace beyond the two input arrays.
+    Bisection from the Gershgorin bounds.  Each step asks LAPACK dpttrf whether
+    t - x*I is positive definite: dpttrf runs the LDL^T pivot recurrence of a
+    Sturm count and reports a nonzero info at the first pivot <= 0.  The
+    bracket stops at width 1e-12 or a few ulps of its ends, so the absolute
+    error is ~eps*||t||.  O(n) workspace beyond the two input arrays; a
+    non-finite input returns a non-finite value instead of looping.
     """
     if t.n == 0:
         return np.empty(0)
     lo, hi = _gershgorin(t)
-    hi = hi + _guard_scale(t)  # ensure count(hi) == n
-    if req.which == "smallest":
-        ks = [0]
-    elif req.which == "kth":
-        if not 0 <= req.k < t.n:
-            raise ValueError(f"k={req.k} out of range for dimension {t.n}")
-        ks = [req.k]
-    elif req.which == "interval":
-        a, b = req.interval
-        ks = list(range(sturm_count(t, a), sturm_count(t, b)))
-    elif req.which == "all":
-        ks = list(range(t.n))
-    else:
-        raise ValueError(f"unknown request {req.which!r}")
-    return np.array([_bisect_kth(t, k, lo, hi, req.abs_tol) for k in ks])
+    hi = hi + _guard_scale(t)  # ensure hi is above the spectrum
+    shifted = np.empty(t.n)
+    while hi - lo > max(_BISECT_ABS_TOL, 4.0 * _EPS * max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # interval no longer splittable in floats
+            break
+        np.subtract(t.diag, mid, out=shifted)
+        if dpttrf(shifted, t.off, overwrite_d=1)[2] != 0:
+            hi = mid
+        else:
+            lo = mid
+    return np.array([0.5 * (lo + hi)])
+
+
+_STEBZ_ABS_TOL = 2.0 * np.finfo(float).tiny
+
+
+def supercharge_sigma_min(j: SpinJ, gamma: float, omega0: float = 1.0) -> float:
+    """Smallest positive singular value of the supercharge's bidiagonal block.
+
+    One LAPACK dstebz bisection for the smallest positive eigenvalue of the
+    zero-diagonal (Golub-Kahan) tridiagonal of size 2J+1 whose off-diagonal is
+    models.supercharge_chain; its eigenvalues are +-sigma_k, plus 0 for
+    integer J.  With the absolute tolerance 2*tiny, bisection returns sigma to
+    high relative accuracy (Demmel & Kahan 1990).  Squared, it is the spectral
+    gap for integer J >= 1 and, for gamma >= 0, the ground energy for
+    half-integer J.
+    """
+    k = j.two_j // 2 + 1
+    return float(eigvalsh_tridiagonal(
+        np.zeros(j.dim), supercharge_chain(j, gamma, omega0), select="i",
+        select_range=(k, k), lapack_driver="stebz", tol=_STEBZ_ABS_TOL,
+    )[0])
 
 
 def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
@@ -352,6 +242,10 @@ class GapResult:
 
 
 _DENSE_GAP_MAX_J = 200
+# Up to this J the gap comes from the chain, to a few ulps relative.  Above
+# it the dpttrf bisection is used: 3-4x faster (39 ms against 136 ms at
+# J = 1e5), with absolute error ~eps*J^2.
+_CHAIN_MAX_J = 20000
 
 
 def spectral_gap(
@@ -359,26 +253,33 @@ def spectral_gap(
     gamma: float,
     method: str = "tridiag",
     omega0: float = 1.0,
-    abs_tol: float = 1e-12,
 ) -> GapResult:
     """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
 
-    The gap is the smallest eigenvalue of the size-J sector block (the sector
-    without the zero mode).  method="tridiag" bisects with LAPACK dpttrf in
-    O(J) memory; method="dense" diagonalizes the block densely (J <= 200 only).
+    method="tridiag": for J <= 20000 the gap is supercharge_sigma_min squared,
+    one LAPACK dstebz call accurate to a few ulps relative; above that it is
+    the smallest eigenvalue of the size-J gap-sector block by dpttrf
+    bisection (eig_symtridiag), with absolute error ~eps*J^2.  Both use O(J)
+    memory.  method="dense" diagonalizes the block densely (J <= 200 only).
     The bound is omega0^2 * cosh(2*gamma); satisfied allows a 1e-9 slack.
     """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("the spectral gap is defined for integer J")
-    t = gap_sector_tridiag(j, gamma, omega0)
+    if not (math.isfinite(gamma) and math.isfinite(omega0)):
+        raise NonFiniteInput(f"gamma and omega0 must be finite, got {gamma!r}, {omega0!r}")
+    if not j.is_integer_spin() or j.two_j < 2:
+        raise NotIntegerSpin("the spectral gap is defined for integer J >= 1")
+    jj = j.two_j // 2
+    bound = omega0**2 * math.cosh(2.0 * gamma)  # |gamma| > 355.2 overflows here, before the solve
     if method == "tridiag":
-        gap = float(eig_symtridiag(t, EigRequest.smallest(abs_tol))[0])
+        if jj <= _CHAIN_MAX_J:
+            gap = supercharge_sigma_min(j, gamma, omega0) ** 2
+        else:
+            t = gap_sector_tridiag(j, gamma, omega0)
+            gap = float(eig_symtridiag(t)[0])
     elif method == "dense":
-        if j.two_j // 2 > _DENSE_GAP_MAX_J:
+        if jj > _DENSE_GAP_MAX_J:
             raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
-        gap = float(eig_dense_symmetric(t.to_dense())[0])
+        gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma, omega0).to_dense())[0])
     else:
         raise MethodUnavailable(f"unknown method {method!r}")
-    bound = omega0**2 * math.cosh(2.0 * gamma)
     satisfied = gap >= bound - 1e-9 * max(1.0, bound)
     return GapResult(gap=gap, bound=bound, satisfied=satisfied)

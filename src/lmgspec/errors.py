@@ -39,3 +39,7 @@ class EmptySpectrum(LmgError):
 
 class MethodUnavailable(LmgError):
     """Requested eigenvalue method is not applicable at this problem size."""
+
+
+class NonFiniteInput(LmgError):
+    """A model parameter is NaN or infinite."""

@@ -35,6 +35,7 @@ __all__ = [
     "parity_blocks_susy",
     "susy_sector_blocks",
     "gap_sector_tridiag",
+    "supercharge_chain",
 ]
 
 
@@ -255,3 +256,21 @@ def gap_sector_tridiag(j: SpinJ, gamma: float, omega0: float = 1.0) -> SymTridia
         raise NotIntegerSpin("gap sector needs J >= 1")
     m = np.arange(-jj + 1, jj, 2, dtype=float)
     return _sym_block(j, gamma, m, omega0)
+
+
+def supercharge_chain(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+    """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
+
+    e_i = |omega0| v_m e^(-g) for even i and |omega0| v_m e^(+g) for odd i,
+    with m = i - J, v_m = sqrt((J-m)(J+m+1))/2 and i = 0 .. 2J-1: the entries
+    of M that couple the m = -J (mod 2) rows to the other columns, i.e. the
+    bidiagonal block build_supercharges slices, walked in Golub-Kahan order.
+    The zero-diagonal tridiagonal with this off-diagonal has eigenvalues
+    +-sigma_k of that block (and 0 for integer J).
+    """
+    jj = j.two_j / 2.0
+    m = np.arange(j.two_j) - jj
+    e = 0.5 * abs(omega0) * np.sqrt((jj - m) * (jj + m + 1.0))
+    e[0::2] *= math.exp(-gamma)
+    e[1::2] *= math.exp(gamma)
+    return e

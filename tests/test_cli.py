@@ -139,6 +139,19 @@ class TestGapScan:
         )
         assert code == 2
 
+    def test_bad_threads_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LMG_THREADS", "x")
+        code, _, err = run(capsys, "gap-scan", "--j-list", "5", "--gamma", "0.5")
+        assert code == 2 and err.startswith("error:")
+
+    def test_bad_gamma_text(self, capsys):
+        code, _, err = run(capsys, "gap-scan", "--j-list", "5", "--gamma", "abc")
+        assert code == 2 and err.startswith("error:")
+
+    def test_non_finite_gamma(self, capsys):
+        code, _, err = run(capsys, "gap-scan", "--j-list", "5", "--gamma", "nan")
+        assert code == 2 and err.startswith("error:")
+
     def test_emit_plot(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
         plot_path = tmp_path / "scan.gp"
@@ -173,6 +186,17 @@ class TestSusyCheck:
         code, out, _ = run(capsys, "susy-check", "--j", "1.5", "--gamma", "0.5")
         assert code == 0
         assert "SusyBroken" in out
+
+    def test_half_integer_ground_energy_below_rounding(self, capsys):
+        # The ground energy 5.9e-61 is far below the rounding error of the
+        # dense spectrum, whose eigs[0] is negative here.
+        code, out, _ = run(capsys, "susy-check", "--j", "50.5", "--gamma", "0.7")
+        assert code == 0
+        assert "PASS  spectrum_classification_broken" in out
+
+    def test_bad_gamma_text(self, capsys):
+        code, _, err = run(capsys, "susy-check", "--j", "2", "--gamma", "x")
+        assert code == 2 and err.startswith("error:")
 
     def test_json_payload(self, capsys):
         code, out, _ = run(

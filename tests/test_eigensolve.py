@@ -1,33 +1,33 @@
-"""Sturm bisection, dense oracle, characteristic polynomials, gap machinery."""
+"""Gap solvers, dense oracle, characteristic polynomials, gap machinery."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import gap_closed_form_j2
 from lmgspec import (
     CharPoly,
     DimensionTooLarge,
-    EigRequest,
     MethodUnavailable,
+    NonFiniteInput,
     NotIntegerSpin,
     NotSymmetric,
     SignViolation,
     SpinJ,
     SymTridiag,
     GeneralTridiag,
+    build_susy_rotated,
     charpoly_dense,
     charpoly_tridiag,
     diagonal_lower_bound,
     eig_dense_symmetric,
     eig_symtridiag,
+    gap_sector_tridiag,
     h_minus_elements,
     spectral_gap,
-    sturm_count,
+    supercharge_sigma_min,
     symmetrize_tridiag,
 )
 
@@ -36,72 +36,51 @@ def random_tridiag(rng, n=12):
     return SymTridiag(diag=rng.standard_normal(n), off=rng.standard_normal(n - 1))
 
 
-class TestSturmCount:
-    def test_counts_match_lapack(self, rng):
-        for _ in range(20):
-            t = random_tridiag(rng)
-            eigs = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
-            for x in rng.uniform(-4, 4, size=8):
-                assert sturm_count(t, x) == int(np.sum(eigs < x))
-
-    def test_monotone_and_total(self, rng):
-        t = random_tridiag(rng, n=9)
-        xs = np.linspace(-10, 10, 101)
-        counts = [sturm_count(t, x) for x in xs]
-        assert counts == sorted(counts)
-        assert counts[0] == 0 and counts[-1] == 9
-
-    def test_shift_straddles_degenerate_eigenvalue(self):
-        t = SymTridiag(diag=[2.0, 2.0], off=[0.0])
-        assert sturm_count(t, np.nextafter(2.0, 1.0)) == 0
-        assert sturm_count(t, np.nextafter(2.0, 3.0)) == 2
-
-    def test_empty(self):
-        assert sturm_count(SymTridiag(diag=[], off=[]), 0.0) == 0
-
-
 class TestEigSymtridiag:
-    @pytest.mark.parametrize("which", ["all", "smallest", "kth"])
+    @pytest.mark.parametrize("which", ["smallest"])
     def test_against_lapack(self, rng, which):
-        t = random_tridiag(rng, n=15)
-        ref = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
-        if which == "all":
+        for t in (SymTridiag(diag=[0.1], off=[]), random_tridiag(rng, n=2),
+                  random_tridiag(rng, n=15)):
+            ref = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
             got = eig_symtridiag(t)
-            assert np.allclose(got, ref, atol=1e-11)
-        elif which == "smallest":
-            # abs_tol=0 with |diag| < 1/4 keeps the n = 1 bracket wider than
-            # the stopping width, so a bisection step runs at n = 1 too.
-            for t in (SymTridiag(diag=[0.1], off=[]), random_tridiag(rng, n=2), t):
-                ref = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
-                got = eig_symtridiag(t, EigRequest.smallest(abs_tol=0.0))
-                assert abs(got[0] - ref[0]) < 1e-11
-        else:
-            got = eig_symtridiag(t, EigRequest.kth(7))
-            assert abs(got[0] - ref[7]) < 1e-11
-
-    def test_interval(self, rng):
-        t = random_tridiag(rng, n=15)
-        ref = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
-        got = eig_symtridiag(t, EigRequest.in_interval(-1.0, 1.0))
-        expect = ref[(ref >= -1.0) & (ref < 1.0)]
-        assert len(got) == len(expect)
-        assert np.allclose(got, expect, atol=1e-11)
-
-    def test_kth_out_of_range(self, rng):
-        with pytest.raises(ValueError):
-            eig_symtridiag(random_tridiag(rng), EigRequest.kth(99))
+            assert got.shape == (1,) and abs(got[0] - ref[0]) < 1e-11
 
     def test_empty(self):
         assert eig_symtridiag(SymTridiag(diag=[], off=[])).size == 0
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 20))
-    def test_all_eigs_property(self, seed, n):
-        r = np.random.default_rng(seed)
-        t = SymTridiag(diag=r.standard_normal(n), off=r.standard_normal(n - 1))
-        got = eig_symtridiag(t)
-        ref = eigh_tridiagonal(t.diag, t.off, eigvals_only=True)
-        assert np.allclose(got, ref, atol=1e-9)
+    def test_non_finite_input_returns(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            t = SymTridiag(diag=[1.0, bad, 2.0], off=[0.5, 0.5])
+            assert not math.isfinite(eig_symtridiag(t)[0])
+
+
+class TestSuperchargeSigmaMin:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("two_j", [1, 3, 5, 7, 15, 31])
+    def test_half_integer_ground_energy(self, two_j, sign):
+        # Where |gamma|(2J+1) <= 4 the ground energy is far above the
+        # rounding error of the dense spectrum.
+        jv = SpinJ(two_j)
+        for g in np.linspace(0.0, 4.0 / (two_j + 1), 5):
+            eigs = eig_dense_symmetric(build_susy_rotated(jv, sign * g))
+            got = supercharge_sigma_min(jv, g) ** 2
+            assert abs(got - eigs[0]) <= 64 * np.finfo(float).eps * eigs[-1]
+
+    def test_half_integer_below_dense_rounding(self):
+        # 30-digit mpmath value 2.845208557464931e-24; the dense eigs[0] is
+        # -1.1e-15 here.
+        got = supercharge_sigma_min(SpinJ(31), 0.9) ** 2
+        assert math.isclose(got, 2.845208557464931e-24, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("g", [-1.0, 0.5, 2.0])
+    def test_agrees_with_bisection_at_large_j(self, g):
+        # Two kernels on two matrices: the chain's dstebz and the gap-sector
+        # block's dpttrf bisection, whose error is ~eps*||T||.
+        jv = SpinJ(40000)
+        t = gap_sector_tridiag(jv, g)
+        norm = np.max(np.abs(t.diag) + np.abs(np.r_[t.off, 0.0]) + np.abs(np.r_[0.0, t.off]))
+        chain = supercharge_sigma_min(jv, g) ** 2
+        assert abs(chain - eig_symtridiag(t)[0]) <= 8 * np.finfo(float).eps * norm
 
 
 class TestDenseOracle:
@@ -197,10 +176,10 @@ class TestSymmetrize:
 
 
 class TestSpectralGap:
-    @pytest.mark.parametrize("two_j", [2, 8, 20, 60, 200])
+    @pytest.mark.parametrize("two_j", [2, 8, 20, 60, 200, 4000, 40000])
     def test_gap_is_one_at_gamma_zero(self, two_j):
         res = spectral_gap(SpinJ(two_j), 0.0)
-        assert abs(res.gap - 1.0) < 1e-12
+        assert abs(res.gap - 1.0) < 1e-13
         assert res.bound == 1.0 and res.satisfied
 
     @pytest.mark.parametrize("g", [0.2, 0.7, 1.5, -1.0])
@@ -217,7 +196,6 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 2.0])
     def test_gap_equals_first_excited_level(self, g):
-        from lmgspec import build_susy_rotated
         jv = SpinJ(16)
         eigs = eig_dense_symmetric(build_susy_rotated(jv, g))
         res = spectral_gap(jv, g)
@@ -247,3 +225,13 @@ class TestSpectralGap:
             spectral_gap(SpinJ(2000), 0.5, method="dense")
         with pytest.raises(MethodUnavailable):
             spectral_gap(SpinJ(4), 0.5, method="magic")
+        with pytest.raises(NotIntegerSpin):
+            spectral_gap(SpinJ(0), 0.5)
+
+    @pytest.mark.parametrize("two_j", [8, 40002])  # chain path, bisection path
+    @pytest.mark.parametrize("gamma, omega0", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.5, math.nan), (0.5, math.inf),
+    ])
+    def test_non_finite_input_raises(self, two_j, gamma, omega0):
+        with pytest.raises(NonFiniteInput):
+            spectral_gap(SpinJ(two_j), gamma, omega0=omega0)

@@ -30,6 +30,7 @@ from lmgspec import (
     params_from_chi,
     parity_blocks_susy,
     parity_sort,
+    supercharge_chain,
     susy_sector_blocks,
 )
 
@@ -196,6 +197,18 @@ class TestSectorBlocks:
         assert np.array_equal(fast.diag, gap_sec.diag)
         assert np.array_equal(fast.off, gap_sec.off)
         assert fast.n == two_j // 2
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 8])
+    def test_supercharge_chain_walks_m(self, two_j, g):
+        # e_i is M[i, i+1] for even i and M[i+1, i] for odd i, where
+        # M = Jx cosh(g) + i Jy sinh(g) in complex ladder-operator form.
+        jx, jy, _ = complex_spin_ops(two_j)
+        m = (math.cosh(g) * jx + 1j * math.sinh(g) * jy).real
+        i = np.arange(two_j)
+        expect = np.where(i % 2 == 0, m[i, i + 1], m[i + 1, i])
+        got = supercharge_chain(SpinJ(two_j), g, omega0=-2.0)
+        assert np.allclose(got, 2.0 * expect, rtol=1e-14, atol=0.0)
 
     def test_zero_sector_holds_zero_mode(self):
         jv = SpinJ(10)
