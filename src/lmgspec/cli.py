@@ -3,8 +3,8 @@
 Subcommands: spectrum, gap-scan, susy-check, ground-state, bench.  Output is
 CSV (default) or JSON, written to stdout or --out; floats are formatted as
 shortest round-trip decimals so repeated runs are byte-identical.  Grid
-scans fan out over a thread pool (--threads, or LMG_THREADS) with results
-keyed by grid index, so thread count never changes the emitted values.
+cells run serially in grid order: the LAPACK calls hold the GIL, so a thread
+pool bought nothing.  --threads (or LMG_THREADS) is still validated.
 
 Exit status: 0 = success, 1 = verification failure, 2 = usage/config error.
 """
@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,9 +59,12 @@ def parse_j_values(text: str) -> list:
 
 def parse_gamma(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"--gamma: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"--gamma: not finite: {text!r}")
+    return value
 
 
 def gamma_grid(args) -> list:
@@ -75,10 +77,11 @@ def gamma_grid(args) -> list:
     steps = args.steps
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
-    if steps == 1:
-        return [args.gamma_min]
     lo, hi = args.gamma_min, args.gamma_max
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    grid = [lo] if steps == 1 else [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    if not all(math.isfinite(g) for g in (hi, *grid)):
+        raise ConfigError("--gamma-min/--gamma-max: the gamma grid is not finite")
+    return grid
 
 
 def thread_count(args) -> int:
@@ -97,12 +100,10 @@ def thread_count(args) -> int:
     return n
 
 
-def parallel_map(fn, cells, threads: int) -> list:
-    """Deterministic map: results ordered by cell index regardless of threads."""
-    if threads == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+def map_cells(fn, cells, args) -> list:
+    """fn over the grid cells in order, after validating the thread count."""
+    thread_count(args)
+    return [fn(c) for c in cells]
 
 
 def write_output(text: str, out_path) -> None:
@@ -196,7 +197,7 @@ def cmd_spectrum(args) -> int:
         return [(str(jv), g, i, float(e), None, None) for i, e in enumerate(eigs)]
 
     cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = [r for chunk in parallel_map(run_cell, cells, thread_count(args)) for r in chunk]
+    rows = [r for chunk in map_cells(run_cell, cells, args) for r in chunk]
     config = {
         "command": "spectrum", "j": [str(j) for j in j_values], "gamma": gammas,
         "model": args.model, "tol": tol,
@@ -229,7 +230,7 @@ def cmd_gap_scan(args) -> int:
         return (str(jv), g, res.gap, res.bound, res.satisfied)
 
     cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = parallel_map(run_cell, cells, thread_count(args))
+    rows = map_cells(run_cell, cells, args)
     n_err = sum(1 for r in rows if r[4] == "error")
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
     summary = {"n_rows": len(rows), "n_errors": n_err}
@@ -367,7 +368,7 @@ def cmd_bench(args) -> int:
         return (str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem)
 
     cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = parallel_map(run_cell, cells, thread_count(args))
+    rows = map_cells(run_cell, cells, args)
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}
     if args.format == "json":
         text = render_json(config, BENCH_HEADER, rows, {"n_rows": len(rows)})
@@ -393,7 +394,8 @@ def _add_common(p, gamma_single=False):
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--emit-plot", help="write a gnuplot script referencing the CSV")
     p.add_argument("--tol", type=float, default=1e-8, help="pairing tolerance")
-    p.add_argument("--threads", type=int, help="worker threads (env LMG_THREADS)")
+    p.add_argument("--threads", type=int,
+                   help="thread count (env LMG_THREADS); validated, but fan-out is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:

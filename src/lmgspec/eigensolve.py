@@ -32,6 +32,7 @@ from .errors import (
     NonFiniteInput,
     NotIntegerSpin,
     NotSymmetric,
+    OverflowRisk,
     SignViolation,
 )
 from .models import gap_sector_tridiag, supercharge_chain
@@ -116,11 +117,16 @@ def supercharge_sigma_min(j: SpinJ, gamma: float, omega0: float = 1.0) -> float:
     integer J.  With the absolute tolerance 2*tiny, bisection returns sigma to
     high relative accuracy (Demmel & Kahan 1990).  Squared, it is the spectral
     gap for integer J >= 1 and, for gamma >= 0, the ground energy for
-    half-integer J.
+    half-integer J.  Raises OverflowRisk where the squared chain entries,
+    which dstebz forms, are not finite in float64.
     """
     k = j.two_j // 2 + 1
+    chain = supercharge_chain(j, gamma, omega0)
+    top = float(np.max(chain, initial=0.0))
+    if not math.isfinite(top * top):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the squared supercharge chain overflows")
     return float(eigvalsh_tridiagonal(
-        np.zeros(j.dim), supercharge_chain(j, gamma, omega0), select="i",
+        np.zeros(j.dim), chain, select="i",
         select_range=(k, k), lapack_driver="stebz", tol=_STEBZ_ABS_TOL,
     )[0])
 
@@ -262,13 +268,22 @@ def spectral_gap(
     bisection (eig_symtridiag), with absolute error ~eps*J^2.  Both use O(J)
     memory.  method="dense" diagonalizes the block densely (J <= 200 only).
     The bound is omega0^2 * cosh(2*gamma); satisfied allows a 1e-9 slack.
+    Raises OverflowRisk where the bound, the squared chain or the gap is not
+    finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
     """
     if not (math.isfinite(gamma) and math.isfinite(omega0)):
         raise NonFiniteInput(f"gamma and omega0 must be finite, got {gamma!r}, {omega0!r}")
     if not j.is_integer_spin() or j.two_j < 2:
         raise NotIntegerSpin("the spectral gap is defined for integer J >= 1")
     jj = j.two_j // 2
-    bound = omega0**2 * math.cosh(2.0 * gamma)  # |gamma| > 355.2 overflows here, before the solve
+    try:
+        bound = omega0**2 * math.cosh(2.0 * gamma)
+    except OverflowError:
+        bound = math.inf
+    # The block's entries, sums of two squared chain entries, and the
+    # intermediates that build them stay below bound * J(J+2).
+    if not math.isfinite(bound * jj * (jj + 2.0)):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the bound or the squared chain overflows")
     if method == "tridiag":
         if jj <= _CHAIN_MAX_J:
             gap = supercharge_sigma_min(j, gamma, omega0) ** 2
@@ -281,5 +296,7 @@ def spectral_gap(
         gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma, omega0).to_dense())[0])
     else:
         raise MethodUnavailable(f"unknown method {method!r}")
+    if not math.isfinite(gap):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the gap is not finite in float64")
     satisfied = gap >= bound - 1e-9 * max(1.0, bound)
     return GapResult(gap=gap, bound=bound, satisfied=satisfied)

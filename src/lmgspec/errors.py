@@ -14,7 +14,7 @@ class DegenerateAnisotropy(LmgError):
 
 
 class OverflowRisk(LmgError):
-    """Matrix exponential argument too large for double precision."""
+    """A result or an intermediate would leave the float64 range."""
 
 
 class NotSymmetric(LmgError):

@@ -1,123 +1,122 @@
-"""Closed-form zero-energy ground state and its Legendre normalization.
+"""Exact zero-energy ground state and its Legendre normalization, by O(J) recurrences.
 
-For integer J the factorized Hamiltonian annihilates exp(gamma*Jx)|m_z=0>,
-and the squared norm of that vector is P_J(cosh(2*gamma)) with P_J the
-Legendre polynomial.  The module evaluates both sides independently:
-amplitudes through the matrix exponential (or a shifted spectral method
-beyond its overflow guard) and the normalization through the Bonnet
-recurrence.
+For integer J, H = F^T F with F = Jz cosh(g) - Ky sinh(g) annihilates
+exp(g*Jx)|m_z=0>, whose squared norm is P_J(cosh 2g).  F c = 0 runs downward
+from m = J through the ratios of its minimal solution (Gautschi 1967); the
+rotated frame solves X^T psi = 0, X the supercharge's bidiagonal block.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import NotIntegerSpin
-from .models import build_factorized, build_susy_rotated, susy_sector_blocks
-from .spin import MATEXP_ARG_LIMIT, SpinJ, build_spin_operators, mat_exp_scaled, susy_sort
+from .errors import NonFiniteInput, NotIntegerSpin, OverflowRisk
+from .models import supercharge_chain
+from .spin import SpinJ
 
 __all__ = ["GroundState", "legendre_p", "ground_state"]
 
 
-def legendre_p(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x) by the Bonnet three-term recurrence."""
+def _bonnet(n: int, x: float) -> tuple:
+    """(p, e) with P_n(x) = p * 2**e, by the Bonnet three-term recurrence.
+    Past |P_k| = 2**500 both carried terms shift by one exact power of two."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    p_prev, p = 1.0, x
-    if n == 0:
-        return p_prev
-    for k in range(1, n):
+    p_prev, p, e = 0.0, 1.0, 0
+    for k in range(n):
+        if abs(p) > 2.0**500:
+            p, shift = math.frexp(p)
+            p_prev, e = math.ldexp(p_prev, -shift), e + shift
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
+    return p, e
+
+
+def _ldexp(p: float, e: int, what: str) -> float:
+    """p * 2**e; OverflowRisk where that is not finite in float64."""
+    if not (math.isfinite(p) and math.frexp(p)[1] + e <= 1024):
+        raise OverflowRisk(f"{what} is not finite in float64")
+    return math.ldexp(p, e)
+
+
+def legendre_p(n: int, x: float) -> float:
+    """Legendre polynomial P_n(x) by the Bonnet loop, kept finite wherever it is."""
+    return _ldexp(*_bonnet(n, x), f"P_{n}({x!r})")
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Zero-mode amplitudes over |m>, ascending m, plus verification numbers.
+    """Zero-mode amplitudes over |m>, ascending m, normalized to 1.
 
-    norm_direct is the unnormalized column norm ||exp(gamma*Jx)|0>||,
-    norm_legendre is sqrt(P_J(cosh(2*gamma))); their agreement is the
-    Legendre normalization identity.  amplitudes are normalized to 1.
-    energy_residual is ||H @ amplitudes|| in the requested frame.
+    norm_direct = ||exp(gamma*Jx)|0>|| and norm_legendre = sqrt(P_J(cosh 2
+    gamma)) agree by the Legendre identity; energy_residual = ||H amplitudes||.
     """
 
     j: SpinJ
     gamma: float
     amplitudes: np.ndarray
     norm_direct: float
-    norm_legendre: Optional[float]
+    norm_legendre: float | None
     energy_residual: float
     frame: str = "factorized"
 
 
-def _expm_column_spectral(j: SpinJ, gamma: float) -> np.ndarray:
-    """exp(gamma*Jx)|m=0> up to positive scale, via the eigendecomposition of
-    the tridiagonal Jx with the largest exponent factored out (overflow-safe
-    for any gamma*J)."""
-    s = build_spin_operators(j)
-    off = np.diag(s.jx, -1)
-    w, v = eigh_tridiagonal(np.zeros(j.dim), off)
-    zero_idx = j.two_j // 2
-    weights = np.exp(abs(gamma) * (w * np.sign(gamma) - w[-1])) * v[zero_idx, :]
-    col = v @ weights
-    return col
+def _tridiag_apply(x: np.ndarray, diag, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A @ x for the tridiagonal A with these diagonal, sub- and superdiagonal."""
+    y = diag * x
+    y[1:] += lower * x[:-1]
+    y[:-1] += upper * x[1:]
+    return y
 
 
 def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundState:
-    """The exact E=0 ground state for integer J.
+    """The exact E=0 ground state for integer J, in O(J) time and memory.
 
-    frame="factorized" (default) returns the closed-form state
-    exp(gamma*Jx)|m_z=0> / sqrt(P_J(cosh 2 gamma)) with its residual against
-    the factorized Hamiltonian.  frame="rotated" returns the zero mode of the
-    rotated form instead (the kernel vector of the zero-sector block), for
-    which the Legendre normalization does not apply.
+    frame="factorized": exp(gamma*Jx)|m_z=0>, with norm_direct = P_J(cosh g)
+    ||c|| / c_0 as c_0 = <0|exp(g Jx)|0>.  frame="rotated": the rotated form's
+    zero mode, without Legendre norm.  OverflowRisk where a norm or the residual
+    is not finite in float64 (factorized: 2|gamma|J >~ 1419 or |gamma| > 355).
     """
+    if not math.isfinite(gamma):
+        raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
     if not j.is_integer_spin():
         raise NotIntegerSpin("the zero mode needs |m_z=0>, i.e. integer J")
-    jj = j.two_j // 2
-    dim = j.dim
-
-    if frame == "rotated":
-        if jj == 0:
-            amps = np.array([1.0])
-            resid = 0.0
-        else:
-            zero_block, _ = susy_sector_blocks(j, gamma)
-            w, v = eigh_tridiagonal(zero_block.diag, zero_block.off)
-            vec = v[:, int(np.argmin(w))]
-            idx = susy_sort(j)
-            amps = np.zeros(dim)
-            amps[idx.perm[: len(idx.even_m)]] = vec
-            h = build_susy_rotated(j, gamma)
-            resid = float(np.linalg.norm(h @ amps))
-        return GroundState(
-            j=j, gamma=gamma, amplitudes=amps, norm_direct=1.0,
-            norm_legendre=None, energy_residual=resid, frame=frame,
-        )
-    if frame != "factorized":
+    if frame not in ("factorized", "rotated"):
         raise ValueError(f"unknown frame {frame!r}")
-
-    s = build_spin_operators(j)
-    norm1 = float(np.max(np.sum(np.abs(s.jx), axis=0))) if dim > 1 else 0.0
-    if abs(gamma) * norm1 <= MATEXP_ARG_LIMIT:
-        col = mat_exp_scaled(s.jx, gamma)[:, jj]
-        norm_direct = float(np.linalg.norm(col))
-    else:
-        col = _expm_column_spectral(j, gamma)  # known only up to scale
-        norm_direct = math.nan
-    norm_legendre = math.sqrt(legendre_p(jj, math.cosh(2.0 * gamma)))
-    if math.isfinite(norm_direct):
-        amps = col / norm_legendre
-    else:
-        amps = col / np.linalg.norm(col)
-
-    h = build_factorized(j, gamma)
-    resid = float(np.linalg.norm(h @ (amps / np.linalg.norm(amps))))
+    jj = j.two_j // 2
+    try:
+        if frame == "rotated":
+            # X^T psi = 0 is T a = 0 for T the chain's tridiagonal; H = T^2 here
+            e = supercharge_chain(j, gamma)
+            logs = np.concatenate(([0.0], np.cumsum(np.log(e[0::2]) - np.log(e[1::2]))))
+            amps = np.zeros(j.dim)
+            amps[0::2] = np.exp(logs - logs.max())
+            amps[2::4] *= -1.0
+            diag, lower, upper = 0.0, e, e
+            norm_direct, norm_legendre = 1.0, None
+        else:
+            # c_{m-1} = (m coth(g) c_m + v_m c_{m+1}) / v_{m-1} from c_{J+1} = 0,
+            # run as the ratios rho_m = c_m / c_{m-1}, which cannot overflow
+            m = np.arange(-jj, jj + 1.0)
+            v = 0.5 * np.sqrt(jj * (jj + 1.0) - m[:-1] * (m[:-1] + 1.0))
+            tv = (math.tanh(gamma) * v[jj:]).tolist() + [0.0]
+            rho = accumulate(range(jj, 0, -1), initial=0.0,
+                             func=lambda r, k: tv[k - 1] / (k + tv[k] * r))
+            half = np.cumprod(list(rho)[:0:-1])
+            amps = np.concatenate((half[::-1], [1.0], half))
+            p, e2 = _bonnet(jj, math.cosh(2.0 * gamma))
+            norm_legendre = _ldexp(math.sqrt(math.ldexp(p, e2 & 1)), e2 >> 1,
+                                   f"sqrt(P_{jj}(cosh 2 gamma)) at gamma={gamma!r}")
+            p, e1 = _bonnet(jj, math.cosh(gamma))
+            norm_direct = _ldexp(p * float(np.linalg.norm(amps)), e1, "norm_direct")
+            w = math.sinh(gamma) * v
+            diag, lower, upper = math.cosh(gamma) * m, -w, w
+        amps = amps / np.linalg.norm(amps)
+        h_amps = _tridiag_apply(_tridiag_apply(amps, diag, lower, upper), diag, upper, lower)
+        resid = _ldexp(float(np.linalg.norm(h_amps)), 0, "the residual")
+    except OverflowError:  # cosh, sinh or exp of gamma
+        raise OverflowRisk(f"J={jj}, gamma={gamma!r} is out of the float64 range") from None
     return GroundState(
         j=j, gamma=gamma, amplitudes=amps, norm_direct=norm_direct,
         norm_legendre=norm_legendre, energy_residual=resid, frame=frame,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAnisotropy, NotIntegerSpin
-from .spin import SpinJ, build_spin_operators, mat_exp_scaled, parity_sort, susy_sort
+from .spin import SpinJ, build_spin_operators, parity_sort, susy_sort
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [

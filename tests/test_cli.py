@@ -45,6 +45,15 @@ class TestSpectrum:
         assert gammas == sorted(gammas)
         assert gammas[0] == -1.0 and gammas[-1] == 1.0  # endpoints included
 
+    @pytest.mark.parametrize("grid", [
+        ["--gamma", "nan"],
+        ["--gamma-min", "nan", "--gamma-max", "1", "--steps", "2"],
+        ["--gamma-min", "0", "--gamma-max", "inf", "--steps", "3"],
+    ])
+    def test_non_finite_gamma(self, capsys, grid):
+        code, out, err = run(capsys, "spectrum", "--j", "2", *grid)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_general_model(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--j", "2", "--gamma", "0.5", "--model", "general",
@@ -152,6 +161,12 @@ class TestGapScan:
         code, _, err = run(capsys, "gap-scan", "--j-list", "5", "--gamma", "nan")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("jj, gamma", [("5", "354.5"), ("5", "400"), ("1000000", "345")])
+    def test_overflow_is_one_error_line(self, capsys, jj, gamma):
+        code, out, err = run(capsys, "gap-scan", "--j-list", jj, "--gamma", gamma)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_emit_plot(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"
         plot_path = tmp_path / "scan.gp"
@@ -198,6 +213,10 @@ class TestSusyCheck:
         code, _, err = run(capsys, "susy-check", "--j", "2", "--gamma", "x")
         assert code == 2 and err.startswith("error:")
 
+    def test_non_finite_gamma(self, capsys):
+        code, out, err = run(capsys, "susy-check", "--j", "2", "--gamma", "nan")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "susy-check", "--j", "4", "--gamma", "0.9", "--format", "json",
@@ -234,6 +253,24 @@ class TestGroundStateCmd:
     def test_half_integer_rejected(self, capsys):
         code, _, err = run(capsys, "ground-state", "--j", "2.5", "--gamma", "0.5")
         assert code == 2 and "error" in err
+
+    def test_non_finite_gamma(self, capsys):
+        code, out, err = run(capsys, "ground-state", "--j", "2", "--gamma", "nan")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_j200_gamma2_norms_finite(self, capsys):
+        code, out, _ = run(capsys, "ground-state", "--j", "200", "--gamma", "2")
+        assert code == 0
+        summary = dict(l[2:].split("=") for l in out.splitlines() if l.startswith("# "))
+        direct, legendre = float(summary["norm_direct"]), float(summary["norm_legendre"])
+        assert math.isfinite(direct) and math.isfinite(legendre)
+        assert math.isclose(direct, legendre, rel_tol=1e-12)
+        assert math.isfinite(float(summary["energy_residual"]))
+
+    def test_unrepresentable_norm_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "ground-state", "--j", "200", "--gamma", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestBench:

@@ -14,6 +14,7 @@ from lmgspec import (
     NonFiniteInput,
     NotIntegerSpin,
     NotSymmetric,
+    OverflowRisk,
     SignViolation,
     SpinJ,
     SymTridiag,
@@ -235,3 +236,16 @@ class TestSpectralGap:
     def test_non_finite_input_raises(self, two_j, gamma, omega0):
         with pytest.raises(NonFiniteInput):
             spectral_gap(SpinJ(two_j), gamma, omega0=omega0)
+
+    @pytest.mark.parametrize("jj, gamma", [
+        (5, 354.5),       # the squared chain overflows inside dstebz
+        (5, 400.0),       # cosh(2 gamma) overflows
+        (10**6, 345.0),   # the block overflows on the bisection path
+    ])
+    def test_overflow_raises(self, jj, gamma):
+        with pytest.raises(OverflowRisk):
+            spectral_gap(SpinJ(2 * jj), gamma)
+
+    def test_largest_finite_gamma_still_solves(self):
+        res = spectral_gap(SpinJ(10), 353.0)
+        assert math.isfinite(res.gap) and res.satisfied

@@ -5,15 +5,38 @@ import math
 import numpy as np
 import pytest
 
-from conftest import legendre_rodrigues
+from scipy.linalg import eigh_tridiagonal
+
+from conftest import complex_spin_ops, legendre_rodrigues
 from lmgspec import (
+    NonFiniteInput,
     NotIntegerSpin,
+    OverflowRisk,
     SpinJ,
     build_factorized,
+    build_spin_operators,
     build_susy_rotated,
     ground_state,
     legendre_p,
+    mat_exp_scaled,
+    susy_sector_blocks,
 )
+
+
+def f_oracle(jj: int, g: float) -> np.ndarray:
+    """F = Jz cosh(g) - i Jy sinh(g) from the complex ladder operators."""
+    _, jy, jz = complex_spin_ops(2 * jj)
+    f = math.cosh(g) * jz - 1j * math.sinh(g) * jy
+    assert np.max(np.abs(f.imag)) == 0.0
+    return f.real
+
+
+def f_columns_max_sq(jj: int, g: float) -> float:
+    """max_i ||F e_i||^2 = max diag(F^T F), a lower bound on ||H||_2, in O(J)."""
+    m = np.arange(-jj, jj + 1.0)
+    v2 = 0.25 * (jj * (jj + 1.0) - m * (m + 1.0))        # v_m^2, zero at m = J
+    w2 = np.concatenate(([0.0], v2[:-1])) + v2           # v_{m-1}^2 + v_m^2
+    return float(np.max((math.cosh(g) * m) ** 2 + math.sinh(g) ** 2 * w2))
 
 
 class TestLegendre:
@@ -36,6 +59,14 @@ class TestLegendre:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             legendre_p(-1, 0.5)
+
+    def test_past_the_rescale_point(self):
+        # P_250(3) ~ 1e187 passes 2**500 ~ 3e150 on the way
+        assert math.isclose(legendre_p(250, 3.0), legendre_rodrigues(250, 3.0), rel_tol=1e-12)
+
+    def test_unrepresentable_raises(self):
+        with pytest.raises(OverflowRisk):
+            legendre_p(400, math.cosh(4.0))
 
 
 class TestGroundState:
@@ -94,15 +125,59 @@ class TestGroundState:
         assert np.array_equal(gs.amplitudes, [1.0])
 
     def test_large_gamma_j_spectral_path(self):
-        # gamma*J beyond the matrix-exponential guard: amplitudes still finite,
-        # normalized, reflection-symmetric relative to their magnitudes
-        jv = SpinJ(400)
-        gs = ground_state(jv, 4.0)
-        assert np.all(np.isfinite(gs.amplitudes))
-        assert math.isclose(float(np.linalg.norm(gs.amplitudes)), 1.0, rel_tol=1e-8)
-        assert math.isnan(gs.norm_direct)
-        h = build_factorized(jv, 4.0)
-        assert gs.energy_residual <= 1e-9 * np.linalg.norm(h, 2)
+        # sqrt(P_200(cosh 8)) ~ e^800 is beyond float64: an error, not a NaN norm
+        with pytest.raises(OverflowRisk):
+            ground_state(SpinJ(400), 4.0)
+
+    @pytest.mark.parametrize("g", [2.0, -2.0])
+    def test_j200_gamma2_finite(self, g):
+        # sqrt(P_200(cosh 4)) ~ 1e173, though P_200(cosh 4) itself overflows
+        gs = ground_state(SpinJ(400), g)
+        assert math.isfinite(gs.norm_direct) and math.isfinite(gs.norm_legendre)
+        assert abs(gs.norm_direct / gs.norm_legendre - 1.0) <= 1e-12
+        f = f_oracle(200, g)
+        assert np.linalg.norm(f @ gs.amplitudes) <= 1e-13 * np.linalg.norm(f, 2)
+
+    @pytest.mark.parametrize("g", [0.05, -0.05])
+    def test_j10000_both_frames(self, g):
+        # criterion 7's bounds, against a lower bound on ||H||_2 (so stricter)
+        jj = 10**4
+        gs = ground_state(SpinJ(2 * jj), g)
+        assert abs(gs.norm_direct / gs.norm_legendre - 1.0) <= 1e-10
+        assert gs.energy_residual <= 1e-9 * f_columns_max_sq(jj, g)
+        rot = ground_state(SpinJ(2 * jj), g, frame="rotated")
+        zero, _ = susy_sector_blocks(SpinJ(2 * jj), g)
+        assert rot.energy_residual <= 1e-9 * float(np.max(zero.diag))
+        assert math.isclose(float(np.linalg.norm(rot.amplitudes)), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("g", [-2.0, -0.4, 0.7, 1.9])
+    @pytest.mark.parametrize("jj", [1, 2, 5, 13, 27, 40])
+    def test_against_matrix_exponential(self, jj, g):
+        col = mat_exp_scaled(build_spin_operators(SpinJ(2 * jj)).jx, g)[:, jj]
+        gs = ground_state(SpinJ(2 * jj), g)
+        assert np.max(np.abs(gs.amplitudes - col / np.linalg.norm(col))) <= 1e-13
+        assert math.isclose(gs.norm_direct, float(np.linalg.norm(col)), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("g", [-1.2, -0.3, 0.6, 1.5])
+    @pytest.mark.parametrize("jj", [1, 3, 4, 7, 15])
+    def test_rotated_against_zero_sector_eigenvector(self, jj, g):
+        jv = SpinJ(2 * jj)
+        gs = ground_state(jv, g, frame="rotated")
+        zero, _ = susy_sector_blocks(jv, g)
+        w, vecs = eigh_tridiagonal(zero.diag, zero.off)
+        vec = vecs[:, int(np.argmin(w))]
+        sector = gs.amplitudes[0::2]          # m = -J, -J+2, ..., J
+        assert np.max(np.abs(gs.amplitudes[1::2])) == 0.0
+        assert np.max(np.abs(sector - np.sign(sector @ vec) * vec)) <= 1e-10
+        h = build_susy_rotated(jv, g)
+        dense = float(np.linalg.norm(h @ gs.amplitudes))
+        assert abs(gs.energy_residual - dense) <= 1e-13 * np.linalg.norm(h, 2)
+
+    @pytest.mark.parametrize("frame", ["factorized", "rotated"])
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma(self, frame, g):
+        with pytest.raises(NonFiniteInput):
+            ground_state(SpinJ(4), g, frame=frame)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
