@@ -46,6 +46,7 @@ from .susy import (
     classify_spectrum,
     susy_sorted_hamiltonian,
     verify_superalgebra,
+    verify_superalgebra_bands,
 )
 from .eigensolve import (
     CharPoly,

@@ -6,12 +6,18 @@ shortest round-trip decimals so repeated runs are byte-identical.  Grid
 cells run serially in grid order: the LAPACK calls hold the GIL, so a thread
 pool bought nothing.  --threads (or LMG_THREADS) is still validated.
 
+susy-check verifies the superalgebra on the supercharge's O(J) bands
+(susy.verify_superalgebra_bands) and classifies the dense spectrum of H.
+The parser is built once per process; main dispatches to cmd_<command> by
+name at call time, so a replaced cmd_* function is the one that runs.
+
 Exit status: 0 = success, 1 = verification failure, 2 = usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,16 +26,15 @@ import time
 
 import numpy as np
 
-from .eigensolve import eig_dense_symmetric, spectral_gap, supercharge_sigma_min
+from .eigensolve import eig_dense_symmetric, spectral_gap
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
 from .models import ModelParams, build_lmg_general, build_susy_rotated, extract_hn_blocks, \
-    build_nonhermitian, h_minus_elements
+    build_nonhermitian, h_minus_elements, supercharge_chain
 from .eigensolve import charpoly_tridiag
 from .tridiag import GeneralTridiag
 from .spin import SpinJ
-from .susy import build_supercharges, classify_spectrum, susy_sorted_hamiltonian, \
-    verify_superalgebra
+from .susy import classify_spectrum, verify_superalgebra_bands
 
 DENSE_DIM_LIMIT = 401           # dense-oracle guard (J <= 200)
 SUSY_CHECK_CHARPOLY_MAX_J = 12
@@ -257,9 +262,7 @@ def cmd_susy_check(args) -> int:
     report = classify_spectrum(eigs, jv, tol=max(tol, 1e-8))
 
     if jv.is_integer_spin():
-        charges = build_supercharges(jv, g)
-        h_sorted = susy_sorted_hamiltonian(jv, g)
-        res = verify_superalgebra(charges, h_sorted)
+        res = verify_superalgebra_bands(jv, g)
         bound = 1e-10 * max(1.0, res.h_norm)
         checks.append(("superalgebra_q1_sq", res.r_q1_sq <= bound, res.r_q1_sq))
         checks.append(("superalgebra_q2_sq", res.r_q2_sq <= bound, res.r_q2_sq))
@@ -291,10 +294,13 @@ def cmd_susy_check(args) -> int:
             checks.append(("h_minus_elementwise", elem_ok, 0.0))
         checks.append(("spectrum_classification", report.verdict == "SusyPattern", report.verdict))
     else:
-        # The ground energy sigma_min^2 (at |gamma|: m -> -m maps H(gamma) to
-        # H(-gamma)) sinks below the rounding error of the dense eigs[0] once
-        # |gamma|(2J+1) >~ 8; sigma is tested, as its square can underflow.
-        broken_ok = report.verdict == "SusyBroken" and supercharge_sigma_min(jv, abs(g)) > 0.0
+        # The ground energy sinks below the rounding error of the dense
+        # eigs[0] once |gamma|(2J+1) >~ 8, and below what bisection resolves
+        # at larger |gamma|.  T, the chain's zero-diagonal tridiagonal, has
+        # even size here and det T = +-prod e_{2k}^2, so no level is zero
+        # while that product, taken in logs, is nonzero.
+        log_det = float(np.sum(np.log(supercharge_chain(jv, g)[0::2])))
+        broken_ok = report.verdict == "SusyBroken" and math.isfinite(log_det)
         checks.append(("spectrum_classification_broken", broken_ok, report.verdict))
 
     all_pass = all(ok for _, ok, _ in checks)
@@ -413,36 +419,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gap-scan", help="spectral gap vs analytic bound")
     p.add_argument("--j-list", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_gap_scan)
 
     p = sub.add_parser("susy-check", help="verify supersymmetric structure")
     p.add_argument("--j", required=True)
     _add_common(p, gamma_single=True)
-    p.set_defaults(func=cmd_susy_check)
 
     p = sub.add_parser("ground-state", help="closed-form zero mode")
     p.add_argument("--j", required=True)
     _add_common(p, gamma_single=True)
-    p.set_defaults(func=cmd_ground_state)
 
     p = sub.add_parser("bench", help="time the large-J gap path")
     p.add_argument("--j-list", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

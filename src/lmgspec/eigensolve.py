@@ -86,12 +86,14 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
     Sturm count and reports a nonzero info at the first pivot <= 0.  The
     bracket stops at width 1e-12 or a few ulps of its ends, so the absolute
     error is ~eps*||t||.  O(n) workspace beyond the two input arrays; a
-    non-finite input returns a non-finite value instead of looping.
+    block with a non-finite Gershgorin bound returns NaN.
     """
     if t.n == 0:
         return np.empty(0)
     lo, hi = _gershgorin(t)
     hi = hi + _guard_scale(t)  # ensure hi is above the spectrum
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return np.array([math.nan])
     shifted = np.empty(t.n)
     while hi - lo > max(_BISECT_ABS_TOL, 4.0 * _EPS * max(abs(lo), abs(hi))):
         mid = 0.5 * (lo + hi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAnisotropy, NotIntegerSpin
+from .errors import DegenerateAnisotropy, NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .spin import SpinJ, build_spin_operators, parity_sort, susy_sort
 from .tridiag import GeneralTridiag, SymTridiag
 
@@ -97,8 +97,30 @@ def build_lmg_general(j: SpinJ, p: ModelParams) -> np.ndarray:
     )
 
 
+def _check_gamma(j: SpinJ, gamma: float, omega0: float) -> None:
+    """Raise unless 2 omega0^2 cosh^2(g) J(J+1) is finite in float64.
+
+    That product bounds every entry of the Hamiltonian forms below and of the
+    sector blocks (cosh 2g < 2 cosh^2 g), and every entry of the m + m.T that
+    eig_dense_symmetric forms from the rotated one.  NonFiniteInput for a NaN
+    or infinite gamma or omega0; OverflowRisk past the bound (from
+    |gamma| ~ 354 at J = 2).
+    """
+    if not (math.isfinite(gamma) and math.isfinite(omega0)):
+        raise NonFiniteInput(f"gamma and omega0 must be finite, got {gamma!r}, {omega0!r}")
+    jj = j.two_j / 2.0
+    try:
+        c = math.cosh(gamma)
+    except OverflowError:
+        c = math.inf
+    w = omega0 * c
+    if not math.isfinite(2.0 * w * w * jj * (jj + 1.0)):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the Hamiltonian's entries overflow float64")
+
+
 def build_susy_rotated(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
     """Rotated SUSY Hamiltonian Jx^2 cosh^2(g) + Jy^2 sinh^2(g) + Jz cosh(g)sinh(g)."""
+    _check_gamma(j, gamma, omega0)
     s = build_spin_operators(j)
     c, sh = math.cosh(gamma), math.sinh(gamma)
     h = c * c * (s.jx @ s.jx) - sh * sh * (s.ky @ s.ky) + c * sh * s.jz
@@ -116,6 +138,7 @@ def build_factorized(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
     semidefinite by construction; same spectrum as the other forms, and the
     frame in which the closed-form zero mode lives.
     """
+    _check_gamma(j, gamma, omega0)
     s = build_spin_operators(j)
     f = math.cosh(gamma) * s.jz - math.sinh(gamma) * s.ky
     return omega0**2 * (f.T @ f)
@@ -127,6 +150,7 @@ def build_nonhermitian(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarra
     For integer J the m=0 column vanishes identically, exposing |m_z=0> as a
     null state.
     """
+    _check_gamma(j, gamma, omega0)
     s = build_spin_operators(j)
     h = math.cosh(2.0 * gamma) * (s.jz @ s.jz) + math.sinh(2.0 * gamma) * (s.ky @ s.jz)
     return omega0**2 * h
@@ -231,12 +255,12 @@ def susy_sector_blocks(j: SpinJ, gamma: float, omega0: float = 1.0) -> tuple:
     The zero sector {m : m == J (mod 2)} has size J+1 and contains the zero
     mode plus one member of each excited doublet; the gap sector has size J
     and its smallest eigenvalue is the spectral gap.  For even J these are
-    the (even, odd) m-parity blocks; for odd J the labels swap.
+    the (even, odd) m-parity blocks; for odd J the labels swap.  At J = 0 the
+    zero sector is the 1x1 zero block and the gap sector is empty.
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("SUSY sector blocks need integer J")
-    if j.two_j < 2:
-        raise NotIntegerSpin("SUSY sector blocks need J >= 1")
+    _check_gamma(j, gamma, omega0)
     idx = susy_sort(j)
     zero_sector = _sym_block(j, gamma, np.array(idx.even_m), omega0)
     gap_sector = _sym_block(j, gamma, np.array(idx.odd_m), omega0)

@@ -4,6 +4,10 @@ Supercharges are built in the SUSY-sorted basis (zero-mode sector of size
 J+1 first, gap sector of size J second, see spin.susy_sort), where they are
 purely off-block-diagonal and Q1^2 reproduces the sorted Hamiltonian exactly.
 Q2 is purely imaginary; its real content is r2 with Q2 = i*r2.
+
+verify_superalgebra checks the identities on the dense matrices and is the
+oracle; verify_superalgebra_bands checks them on O(J) bands, between the
+supercharge chain and the closed-form sector blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySpectrum, NotIntegerSpin
-from .models import build_susy_rotated
+from .models import build_susy_rotated, supercharge_chain, susy_sector_blocks
 from .spin import SpinJ, build_spin_operators, susy_sort
 
 __all__ = [
@@ -25,6 +29,7 @@ __all__ = [
     "build_supercharges",
     "susy_sorted_hamiltonian",
     "verify_superalgebra",
+    "verify_superalgebra_bands",
     "classify_spectrum",
 ]
 
@@ -107,6 +112,52 @@ def verify_superalgebra(s: Supercharges, h_sorted: np.ndarray) -> SuperalgebraRe
     r4 = max(norm(s.q1 @ h - h @ s.q1), norm(s.r2 @ h - h @ s.r2))
     return SuperalgebraResiduals(
         r_q1_sq=r1, r_q2_sq=r2, r_anti=r3, r_comm=r4, h_norm=norm(h)
+    )
+
+
+def _max_abs(*arrays) -> float:
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def verify_superalgebra_bands(j: SpinJ, gamma: float, omega0: float = 1.0) -> SuperalgebraResiduals:
+    """The residuals of verify_superalgebra from O(J) bands, for integer J.
+
+    The Q side is the chain e = models.supercharge_chain (length 2J); the H
+    side is the closed-form blocks (Z, G) = models.susy_sector_blocks.  In
+    chain order (index i of the size-2J+1 basis walked by e) Q1 is the
+    zero-diagonal tridiagonal T with off-diagonal e, and H has diagonal d and
+    second off-diagonal s: Z on the even indices and G reversed (G') on the
+    odd ones, the reversal of build_supercharges.
+
+    r_q1_sq : T^2 has diagonal e_{i-1}^2 + e_i^2 and second off-diagonal
+              e_i e_{i+1} (e_{-1} = e_{2J} = 0); compared with d and s.
+    r_comm  : max |[T, H]|, whose even-row, odd-column block is X'G' - Z X'
+              with X' the (J+1) x J lower bidiagonal with diagonal e[0::2]
+              and subdiagonal e[1::2]; the other block is minus its transpose.
+    r_q2_sq, r_anti : r2 = diag(-I, I) Q1, and Q1 anticommutes with
+              D = diag(-I, I), so r2^T r2 = Q1 D D Q1 = Q1^2 and
+              Q1 r2 + r2 Q1 = (Q1 D + D Q1) Q1 = 0; likewise
+              [r2, H] = D [Q1, H].  Hence r_q2_sq = r_q1_sq and r_anti = 0.
+    h_norm  : the largest |entry| of the bands d and s.
+
+    NotIntegerSpin for half-integer J; OverflowRisk where the blocks would
+    leave float64 (models' gamma guard).
+    """
+    z, g = susy_sector_blocks(j, gamma, omega0)      # raises past the float64 range
+    e = supercharge_chain(j, gamma, omega0)
+    d = np.empty(j.dim)
+    d[0::2], d[1::2] = z.diag, g.diag[::-1]
+    s = np.empty(max(j.dim - 2, 0))
+    s[0::2], s[1::2] = z.off, g.off[::-1]
+    ep = np.concatenate(([0.0], e, [0.0]))      # ep[i + 1] = e_i
+    sp = np.concatenate(([0.0], s, [0.0]))      # sp[i + 1] = s_i
+    r_sq = _max_abs(ep[:-1] ** 2 + ep[1:] ** 2 - d, e[:-1] * e[1:] - s)
+    # [T, H] = TH - HT on its first and third superdiagonals
+    first = (e * d[1:] + ep[:-2] * sp[:-1]) - (d[:-1] * e + sp[1:] * ep[2:])
+    third = e[:-2] * s[1:] - s[:-1] * e[2:]
+    r_comm = _max_abs(first, third)
+    return SuperalgebraResiduals(
+        r_q1_sq=r_sq, r_q2_sq=r_sq, r_anti=0.0, r_comm=r_comm, h_norm=_max_abs(d, s)
     )
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lmgspec import cli
 from lmgspec.cli import main
 
 
@@ -83,6 +84,11 @@ class TestSpectrum:
     def test_missing_gamma(self, capsys):
         code, _, err = run(capsys, "spectrum", "--j", "2")
         assert code == 2
+
+    def test_overflow_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--j", "2", "--gamma", "400")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -209,6 +215,18 @@ class TestSusyCheck:
         assert code == 0
         assert "PASS  spectrum_classification_broken" in out
 
+    def test_half_integer_large_gamma(self, capsys):
+        # sigma_min underflows below what bisection resolves; det T does not
+        code, out, _ = run(capsys, "susy-check", "--j", "5.5", "--gamma", "300")
+        assert code == 0
+        assert "PASS  spectrum_classification_broken" in out
+
+    @pytest.mark.parametrize("gamma", ["354.5", "400", "800"])
+    def test_overflow_is_one_error_line(self, capsys, gamma):
+        code, out, err = run(capsys, "susy-check", "--j", "2", "--gamma", gamma)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_gamma_text(self, capsys):
         code, _, err = run(capsys, "susy-check", "--j", "2", "--gamma", "x")
         assert code == 2 and err.startswith("error:")
@@ -228,6 +246,23 @@ class TestSusyCheck:
         assert "superalgebra_q1_sq" in names
         assert "charpoly_factorization" in names
         assert "h_plus_minus_permutation_equivalent" in names
+
+
+class TestMain:
+    def test_dispatch_by_name_after_first_call(self, capsys, monkeypatch):
+        # The parser is built once; the subcommand is looked up at call time.
+        assert run(capsys, "susy-check", "--j", "1", "--gamma", "0.5")[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_susy_check", lambda args: calls.append(args.j) or 7)
+        assert run(capsys, "susy-check", "--j", "3", "--gamma", "0.5")[0] == 7
+        assert calls == ["3"]
+
+    def test_usage_error_on_second_call(self, capsys):
+        assert run(capsys, "susy-check", "--j", "1", "--gamma", "0.5")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["susy-check", "--j", "1"])
+        assert exc.value.code == 2
+        assert "--gamma" in capsys.readouterr().err
 
 
 class TestGroundStateCmd:

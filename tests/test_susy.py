@@ -8,14 +8,18 @@ from lmgspec import (
     DimensionMismatch,
     EmptySpectrum,
     NotIntegerSpin,
+    OverflowRisk,
     SpinJ,
+    SymTridiag,
     build_supercharges,
     build_susy_rotated,
     classify_spectrum,
     eig_dense_symmetric,
     susy_sorted_hamiltonian,
     verify_superalgebra,
+    verify_superalgebra_bands,
 )
+from lmgspec import susy
 
 #: signed permutation relating the library's sorted basis (both sectors
 #: ascending in m) to the reference J=2 matrices (second sector descending).
@@ -64,6 +68,59 @@ class TestSupercharges:
         ch = build_supercharges(SpinJ(4), 0.5)
         with pytest.raises(DimensionMismatch):
             verify_superalgebra(ch, np.zeros((3, 3)))
+
+
+class TestSuperalgebraBands:
+    @pytest.mark.parametrize("g", np.linspace(-2.9, 2.9, 9).tolist() + [0.7, -1.3])
+    def test_against_dense(self, g):
+        for jj in range(41):
+            jv = SpinJ(2 * jj)
+            bands = verify_superalgebra_bands(jv, g)
+            dense = verify_superalgebra(build_supercharges(jv, g), susy_sorted_hamiltonian(jv, g))
+            # the closed-form blocks and the dense products round differently
+            assert bands.h_norm == pytest.approx(dense.h_norm, rel=8 * np.finfo(float).eps)
+            assert bands.passed(1e-10) and dense.passed(1e-10)
+            assert bands.r_q2_sq == bands.r_q1_sq and bands.r_anti == 0.0
+
+    def test_mutated_chain_fails(self, monkeypatch):
+        chain = susy.supercharge_chain
+
+        def mutant(j, gamma, omega0=1.0):
+            e = chain(j, gamma, omega0)
+            e[len(e) // 2] *= 1.0 + 1e-6
+            return e
+
+        jv, g = SpinJ(20), 0.7
+        assert verify_superalgebra_bands(jv, g).passed(1e-10)
+        monkeypatch.setattr(susy, "supercharge_chain", mutant)
+        res = verify_superalgebra_bands(jv, g)
+        assert not res.passed(1e-10)
+        assert res.r_q1_sq > 1e-10 * res.h_norm and res.r_comm > 1e-10 * res.h_norm
+
+    def test_dropped_gap_reversal_fails(self, monkeypatch):
+        # Handing over G already reversed undoes the reversal inside.
+        blocks = susy.susy_sector_blocks
+
+        def mutant(j, gamma, omega0=1.0):
+            z, g = blocks(j, gamma, omega0)
+            return z, SymTridiag(diag=g.diag[::-1], off=g.off[::-1])
+
+        monkeypatch.setattr(susy, "susy_sector_blocks", mutant)
+        res = verify_superalgebra_bands(SpinJ(20), 0.7)
+        assert not res.passed(1e-10)
+
+    def test_j_zero(self):
+        res = verify_superalgebra_bands(SpinJ(0), 0.5)
+        assert (res.r_q1_sq, res.r_comm, res.h_norm) == (0.0, 0.0, 0.0)
+
+    def test_half_integer_rejected(self):
+        with pytest.raises(NotIntegerSpin):
+            verify_superalgebra_bands(SpinJ(3), 0.5)
+
+    @pytest.mark.parametrize("g", [354.5, -400.0, 800.0])
+    def test_overflow(self, g):
+        with pytest.raises(OverflowRisk):
+            verify_superalgebra_bands(SpinJ(4), g)
 
 
 class TestClassifySpectrum:
