@@ -30,7 +30,7 @@ from .eigensolve import eig_dense_symmetric, spectral_gap
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
 from .models import ModelParams, build_lmg_general, build_susy_rotated, extract_hn_blocks, \
-    build_nonhermitian, h_minus_elements, supercharge_chain
+    build_nonhermitian, h_minus_elements
 from .eigensolve import charpoly_tridiag
 from .tridiag import GeneralTridiag
 from .spin import SpinJ
@@ -294,13 +294,8 @@ def cmd_susy_check(args) -> int:
             checks.append(("h_minus_elementwise", elem_ok, 0.0))
         checks.append(("spectrum_classification", report.verdict == "SusyPattern", report.verdict))
     else:
-        # The ground energy sinks below the rounding error of the dense
-        # eigs[0] once |gamma|(2J+1) >~ 8, and below what bisection resolves
-        # at larger |gamma|.  T, the chain's zero-diagonal tridiagonal, has
-        # even size here and det T = +-prod e_{2k}^2, so no level is zero
-        # while that product, taken in logs, is nonzero.
-        log_det = float(np.sum(np.log(supercharge_chain(jv, g)[0::2])))
-        broken_ok = report.verdict == "SusyBroken" and math.isfinite(log_det)
+        # For half-integer J, det T = +-prod e_{2k}^2 != 0 holds identically.
+        broken_ok = report.verdict == "SusyBroken"
         checks.append(("spectrum_classification_broken", broken_ok, report.verdict))
 
     all_pass = all(ok for _, ok, _ in checks)
@@ -404,6 +399,7 @@ def _add_common(p, gamma_single=False):
                    help="thread count (env LMG_THREADS); validated, but fan-out is serial")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmg",
@@ -439,13 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

@@ -119,7 +119,7 @@ def _max_abs(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
-def verify_superalgebra_bands(j: SpinJ, gamma: float, omega0: float = 1.0) -> SuperalgebraResiduals:
+def verify_superalgebra_bands(j: SpinJ, gamma: float) -> SuperalgebraResiduals:
     """The residuals of verify_superalgebra from O(J) bands, for integer J.
 
     The Q side is the chain e = models.supercharge_chain (length 2J); the H
@@ -143,8 +143,8 @@ def verify_superalgebra_bands(j: SpinJ, gamma: float, omega0: float = 1.0) -> Su
     NotIntegerSpin for half-integer J; OverflowRisk where the blocks would
     leave float64 (models' gamma guard).
     """
-    z, g = susy_sector_blocks(j, gamma, omega0)      # raises past the float64 range
-    e = supercharge_chain(j, gamma, omega0)
+    z, g = susy_sector_blocks(j, gamma)      # raises past the float64 range
+    e = supercharge_chain(j, gamma)
     d = np.empty(j.dim)
     d[0::2], d[1::2] = z.diag, g.diag[::-1]
     s = np.empty(max(j.dim - 2, 0))

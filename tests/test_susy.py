@@ -85,8 +85,8 @@ class TestSuperalgebraBands:
     def test_mutated_chain_fails(self, monkeypatch):
         chain = susy.supercharge_chain
 
-        def mutant(j, gamma, omega0=1.0):
-            e = chain(j, gamma, omega0)
+        def mutant(j, gamma):
+            e = chain(j, gamma)
             e[len(e) // 2] *= 1.0 + 1e-6
             return e
 
@@ -101,8 +101,8 @@ class TestSuperalgebraBands:
         # Handing over G already reversed undoes the reversal inside.
         blocks = susy.susy_sector_blocks
 
-        def mutant(j, gamma, omega0=1.0):
-            z, g = blocks(j, gamma, omega0)
+        def mutant(j, gamma):
+            z, g = blocks(j, gamma)
             return z, SymTridiag(diag=g.diag[::-1], off=g.off[::-1])
 
         monkeypatch.setattr(susy, "susy_sector_blocks", mutant)
