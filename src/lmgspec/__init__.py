@@ -19,7 +19,6 @@ from .spin import (
     SpinOperators,
     build_spin_operators,
     mat_exp_scaled,
-    parity_sort,
     susy_sort,
 )
 from .tridiag import GeneralTridiag, SymTridiag
@@ -34,7 +33,6 @@ from .models import (
     gap_sector_tridiag,
     h_minus_elements,
     params_from_chi,
-    parity_blocks_susy,
     supercharge_chain,
     susy_sector_blocks,
 )

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: spectrum, gap-scan, susy-check, ground-state, bench.  Output is
-CSV (default) or JSON, written to stdout or --out; floats are formatted as
-shortest round-trip decimals so repeated runs are byte-identical.  Grid
-cells run serially in grid order: the LAPACK calls hold the GIL, so a thread
-pool bought nothing.  --threads (or LMG_THREADS) is still validated.
+Subcommands: spectrum, gap-scan, susy-check, ground-state, bench; each takes
+only the flags its cmd_* function reads.  Output is CSV (default) or JSON,
+written to stdout or --out; floats are formatted as shortest round-trip
+decimals so repeated runs are byte-identical.  Grid cells run serially in
+grid order: the LAPACK calls hold the GIL, so a thread pool bought nothing.
+--threads (or LMG_THREADS) is still validated where it is accepted.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
 (susy.verify_superalgebra_bands) and classifies the dense spectrum of H.
@@ -26,12 +27,11 @@ import time
 
 import numpy as np
 
-from .eigensolve import eig_dense_symmetric, spectral_gap
+from .eigensolve import charpoly_tridiag, eig_dense_symmetric, spectral_gap
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
-from .models import ModelParams, build_lmg_general, build_susy_rotated, extract_hn_blocks, \
-    build_nonhermitian, h_minus_elements
-from .eigensolve import charpoly_tridiag
+from .models import HnBlocks, ModelParams, build_lmg_general, build_susy_rotated, \
+    extract_hn_blocks, build_nonhermitian, h_minus_elements
 from .tridiag import GeneralTridiag
 from .spin import SpinJ
 from .susy import classify_spectrum, verify_superalgebra_bands
@@ -69,6 +69,12 @@ def parse_gamma(text: str) -> float:
         raise ConfigError(f"--gamma: not a number: {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"--gamma: not finite: {text!r}")
+    return value
+
+
+def check_tol(value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"--tol: must be positive and finite, got {value!r}")
     return value
 
 
@@ -174,7 +180,7 @@ SPECTRUM_HEADER = ["j", "gamma", "level_index", "eigenvalue", "pair_id", "is_zer
 def cmd_spectrum(args) -> int:
     j_values = parse_j_values(args.j)
     gammas = gamma_grid(args)
-    tol = args.tol
+    tol = check_tol(args.tol)
     if args.model == "general":
         missing = [f for f in ("xi", "chi1", "chi2", "lam") if getattr(args, f) is None]
         if missing:
@@ -251,10 +257,36 @@ def cmd_gap_scan(args) -> int:
 
 # ---------------------------------------------------------------- susy-check
 
+def charpoly_residual(hn: np.ndarray, blocks: HnBlocks) -> float:
+    """Largest coefficient residual of det(x - hn) = x det(x - H+) det(x - H-),
+    relative to max(1, |coefficient|).
+
+    hn is tridiagonal by construction; the three-term recurrence is far better
+    conditioned than a dense trace recursion here.  The coefficients grow like
+    max|hn|^dim, so every matrix is first scaled by the same exact power of two
+    2^-k, with max|hn| / 2^k in [1/2, 1): the identity is unchanged and the
+    coefficients stay in float64.
+    """
+    k = math.frexp(float(np.max(np.abs(hn))))[1]
+
+    def scaled_charpoly(t: GeneralTridiag):
+        return charpoly_tridiag(GeneralTridiag(
+            alpha=np.ldexp(t.alpha, -k), beta=np.ldexp(t.beta, -k),
+            gamma_sub=np.ldexp(t.gamma_sub, -k),
+        ))
+
+    lhs = scaled_charpoly(GeneralTridiag(
+        alpha=np.diag(hn), beta=-np.diag(hn, 1), gamma_sub=np.diag(hn, -1),
+    ))
+    rhs = (scaled_charpoly(blocks.h_plus) * scaled_charpoly(blocks.h_minus)).times_lambda()
+    scale = np.maximum(1.0, np.abs(rhs.coeffs))
+    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs) / scale))
+
+
 def cmd_susy_check(args) -> int:
     jv = SpinJ.from_j(args.j)
     g = parse_gamma(args.gamma_value)
-    tol = args.tol
+    tol = check_tol(args.tol)
     checks = []        # (name, passed, detail)
 
     h_dense = build_susy_rotated(jv, g)
@@ -272,14 +304,7 @@ def cmd_susy_check(args) -> int:
         if jv.two_j // 2 <= SUSY_CHECK_CHARPOLY_MAX_J and jv.two_j >= 2:
             hn = build_nonhermitian(jv, g)
             blocks = extract_hn_blocks(hn, jv)
-            # hn is tridiagonal by construction; the three-term recurrence is
-            # far better conditioned than a dense trace recursion here
-            lhs = charpoly_tridiag(GeneralTridiag(
-                alpha=np.diag(hn), beta=-np.diag(hn, 1), gamma_sub=np.diag(hn, -1),
-            ))
-            rhs = (charpoly_tridiag(blocks.h_plus) * charpoly_tridiag(blocks.h_minus)).times_lambda()
-            scale = np.maximum(1.0, np.abs(rhs.coeffs))
-            resid = float(np.max(np.abs(lhs.coeffs - rhs.coeffs) / scale))
+            resid = charpoly_residual(hn, blocks)
             checks.append(("charpoly_factorization", resid <= 1e-8, resid))
             perm_ok = (
                 np.array_equal(blocks.h_plus.reversed_conjugate().alpha, blocks.h_minus.alpha)
@@ -381,7 +406,17 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p, gamma_single=False):
+# The flags that only some subcommands read.
+_OPTIONAL_FLAGS = {
+    "emit-plot": dict(help="write a gnuplot script referencing the CSV"),
+    "tol": dict(type=float, default=1e-8, help="pairing tolerance"),
+    "threads": dict(type=int,
+                    help="thread count (env LMG_THREADS); validated, but fan-out is serial"),
+}
+
+
+def _add_common(p, *optional, gamma_single=False):
+    """The gamma flags, --format and --out, plus the named optional flags."""
     if gamma_single:
         p.add_argument("--gamma", dest="gamma_value", required=True,
                        help="anisotropy parameter (single value)")
@@ -393,10 +428,8 @@ def _add_common(p, gamma_single=False):
                        help="grid points, endpoints included")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--emit-plot", help="write a gnuplot script referencing the CSV")
-    p.add_argument("--tol", type=float, default=1e-8, help="pairing tolerance")
-    p.add_argument("--threads", type=int,
-                   help="thread count (env LMG_THREADS); validated, but fan-out is serial")
+    for name in optional:
+        p.add_argument("--" + name, **_OPTIONAL_FLAGS[name])
 
 
 @functools.cache
@@ -414,15 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi1", type=float)
     p.add_argument("--chi2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
-    _add_common(p)
+    _add_common(p, "emit-plot", "tol", "threads")
 
     p = sub.add_parser("gap-scan", help="spectral gap vs analytic bound")
     p.add_argument("--j-list", required=True)
-    _add_common(p)
+    _add_common(p, "emit-plot", "threads")
 
     p = sub.add_parser("susy-check", help="verify supersymmetric structure")
     p.add_argument("--j", required=True)
-    _add_common(p, gamma_single=True)
+    _add_common(p, "tol", gamma_single=True)
 
     p = sub.add_parser("ground-state", help="closed-form zero mode")
     p.add_argument("--j", required=True)
@@ -430,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the large-J gap path")
     p.add_argument("--j-list", required=True)
-    _add_common(p)
+    _add_common(p, "threads")
 
     return parser
 

@@ -110,7 +110,7 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
 _STEBZ_ABS_TOL = 2.0 * np.finfo(float).tiny
 
 
-def supercharge_sigma_min(j: SpinJ, gamma: float, omega0: float = 1.0) -> float:
+def supercharge_sigma_min(j: SpinJ, gamma: float) -> float:
     """Smallest positive singular value of the supercharge's bidiagonal block.
 
     One LAPACK dstebz bisection for the smallest positive eigenvalue of the
@@ -123,7 +123,7 @@ def supercharge_sigma_min(j: SpinJ, gamma: float, omega0: float = 1.0) -> float:
     which dstebz forms, are not finite in float64.
     """
     k = j.two_j // 2 + 1
-    chain = supercharge_chain(j, gamma, omega0)
+    chain = supercharge_chain(j, gamma)
     top = float(np.max(chain, initial=0.0))
     if not math.isfinite(top * top):
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the squared supercharge chain overflows")
@@ -256,12 +256,7 @@ _DENSE_GAP_MAX_J = 200
 _CHAIN_MAX_J = 20000
 
 
-def spectral_gap(
-    j: SpinJ,
-    gamma: float,
-    method: str = "tridiag",
-    omega0: float = 1.0,
-) -> GapResult:
+def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
 
     method="tridiag": for J <= 20000 the gap is supercharge_sigma_min squared,
@@ -269,17 +264,17 @@ def spectral_gap(
     the smallest eigenvalue of the size-J gap-sector block by dpttrf
     bisection (eig_symtridiag), with absolute error ~eps*J^2.  Both use O(J)
     memory.  method="dense" diagonalizes the block densely (J <= 200 only).
-    The bound is omega0^2 * cosh(2*gamma); satisfied allows a 1e-9 slack.
+    The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
     Raises OverflowRisk where the bound, the squared chain or the gap is not
     finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
     """
-    if not (math.isfinite(gamma) and math.isfinite(omega0)):
-        raise NonFiniteInput(f"gamma and omega0 must be finite, got {gamma!r}, {omega0!r}")
+    if not math.isfinite(gamma):
+        raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
     if not j.is_integer_spin() or j.two_j < 2:
         raise NotIntegerSpin("the spectral gap is defined for integer J >= 1")
     jj = j.two_j // 2
     try:
-        bound = omega0**2 * math.cosh(2.0 * gamma)
+        bound = math.cosh(2.0 * gamma)
     except OverflowError:
         bound = math.inf
     # The block's entries, sums of two squared chain entries, and the
@@ -288,14 +283,14 @@ def spectral_gap(
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the bound or the squared chain overflows")
     if method == "tridiag":
         if jj <= _CHAIN_MAX_J:
-            gap = supercharge_sigma_min(j, gamma, omega0) ** 2
+            gap = supercharge_sigma_min(j, gamma) ** 2
         else:
-            t = gap_sector_tridiag(j, gamma, omega0)
+            t = gap_sector_tridiag(j, gamma)
             gap = float(eig_symtridiag(t)[0])
     elif method == "dense":
         if jj > _DENSE_GAP_MAX_J:
             raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
-        gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma, omega0).to_dense())[0])
+        gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
     else:
         raise MethodUnavailable(f"unknown method {method!r}")
     if not math.isfinite(gap):

@@ -7,8 +7,10 @@ Four equivalent forms (all with identical spectra at the SUSY point):
 * factorized form       exp(-g Jx) Jz exp(2 g Jx) Jz exp(-g Jx)
 * non-Hermitian form    Jz^2 cosh(2g) + Ky Jz sinh(2g)
 
-plus the parity-sector tridiagonal blocks and the H+/H- block extraction of
-the non-Hermitian form.  Real arithmetic throughout (Jy^2 = -Ky@Ky).
+plus the SUSY-sector tridiagonal blocks and the H+/H- block extraction of
+the non-Hermitian form.  Real arithmetic throughout (Jy^2 = -Ky@Ky).  The
+SUSY forms are in units of chi1^2 - chi2^2 = 1: that scale only multiplies
+H, so the spectrum, the gap and its bound cosh(2g) scale together.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAnisotropy, NonFiniteInput, NotIntegerSpin, OverflowRisk
-from .spin import SpinJ, build_spin_operators, parity_sort, susy_sort
+from .spin import SpinJ, build_spin_operators
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "build_nonhermitian",
     "extract_hn_blocks",
     "h_minus_elements",
-    "parity_blocks_susy",
     "susy_sector_blocks",
     "gap_sector_tridiag",
     "supercharge_chain",
@@ -84,9 +85,6 @@ class ModelParams:
             gamma=gamma,
         )
 
-    def susy_point(self) -> bool:
-        return self.lam == 1.0
-
 
 def build_lmg_general(j: SpinJ, p: ModelParams) -> np.ndarray:
     """General LMG Hamiltonian xi*(chi1^2 Jz^2 + chi2^2 Jy^2 + lam chi1 chi2 Jx)."""
@@ -97,37 +95,35 @@ def build_lmg_general(j: SpinJ, p: ModelParams) -> np.ndarray:
     )
 
 
-def _check_gamma(j: SpinJ, gamma: float, omega0: float) -> None:
-    """Raise unless 2 omega0^2 cosh^2(g) J(J+1) is finite in float64.
+def _check_gamma(j: SpinJ, gamma: float) -> None:
+    """Raise unless 2 cosh^2(g) J(J+1) is finite in float64.
 
     That product bounds every entry of the Hamiltonian forms below and of the
     sector blocks (cosh 2g < 2 cosh^2 g), and every entry of the m + m.T that
     eig_dense_symmetric forms from the rotated one.  NonFiniteInput for a NaN
-    or infinite gamma or omega0; OverflowRisk past the bound (from
-    |gamma| ~ 354 at J = 2).
+    or infinite gamma; OverflowRisk past the bound (from |gamma| ~ 354 at
+    J = 2).
     """
-    if not (math.isfinite(gamma) and math.isfinite(omega0)):
-        raise NonFiniteInput(f"gamma and omega0 must be finite, got {gamma!r}, {omega0!r}")
+    if not math.isfinite(gamma):
+        raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
     jj = j.two_j / 2.0
     try:
         c = math.cosh(gamma)
     except OverflowError:
         c = math.inf
-    w = omega0 * c
-    if not math.isfinite(2.0 * w * w * jj * (jj + 1.0)):
+    if not math.isfinite(2.0 * c * c * jj * (jj + 1.0)):
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the Hamiltonian's entries overflow float64")
 
 
-def build_susy_rotated(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def build_susy_rotated(j: SpinJ, gamma: float) -> np.ndarray:
     """Rotated SUSY Hamiltonian Jx^2 cosh^2(g) + Jy^2 sinh^2(g) + Jz cosh(g)sinh(g)."""
-    _check_gamma(j, gamma, omega0)
+    _check_gamma(j, gamma)
     s = build_spin_operators(j)
     c, sh = math.cosh(gamma), math.sinh(gamma)
-    h = c * c * (s.jx @ s.jx) - sh * sh * (s.ky @ s.ky) + c * sh * s.jz
-    return omega0**2 * h
+    return c * c * (s.jx @ s.jx) - sh * sh * (s.ky @ s.ky) + c * sh * s.jz
 
 
-def build_factorized(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def build_factorized(j: SpinJ, gamma: float) -> np.ndarray:
     """Factorized Hamiltonian exp(-g Jx) Jz exp(2 g Jx) Jz exp(-g Jx).
 
     Evaluated through the equivalent first-order product F^T F with
@@ -138,22 +134,21 @@ def build_factorized(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
     semidefinite by construction; same spectrum as the other forms, and the
     frame in which the closed-form zero mode lives.
     """
-    _check_gamma(j, gamma, omega0)
+    _check_gamma(j, gamma)
     s = build_spin_operators(j)
     f = math.cosh(gamma) * s.jz - math.sinh(gamma) * s.ky
-    return omega0**2 * (f.T @ f)
+    return f.T @ f
 
 
-def build_nonhermitian(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def build_nonhermitian(j: SpinJ, gamma: float) -> np.ndarray:
     """Non-Hermitian similar Hamiltonian Jz^2 cosh(2g) + Ky Jz sinh(2g).
 
     For integer J the m=0 column vanishes identically, exposing |m_z=0> as a
     null state.
     """
-    _check_gamma(j, gamma, omega0)
+    _check_gamma(j, gamma)
     s = build_spin_operators(j)
-    h = math.cosh(2.0 * gamma) * (s.jz @ s.jz) + math.sinh(2.0 * gamma) * (s.ky @ s.jz)
-    return omega0**2 * h
+    return math.cosh(2.0 * gamma) * (s.jz @ s.jz) + math.sinh(2.0 * gamma) * (s.ky @ s.jz)
 
 
 def _general_from_dense(block: np.ndarray) -> GeneralTridiag:
@@ -177,11 +172,6 @@ class HnBlocks:
     h_plus: GeneralTridiag
     a_vec: np.ndarray
 
-    @property
-    def a_vec_pos(self) -> np.ndarray:
-        """m=0 row over positive-m columns, ordered outward from m=+1."""
-        return self.a_vec.copy()
-
 
 def extract_hn_blocks(hn: np.ndarray, j: SpinJ) -> HnBlocks:
     """Slice the non-Hermitian Hamiltonian into H- (m<0), H+ (m>0) and <a|."""
@@ -194,7 +184,7 @@ def extract_hn_blocks(hn: np.ndarray, j: SpinJ) -> HnBlocks:
     return HnBlocks(h_minus=h_minus, h_plus=h_plus, a_vec=a_vec)
 
 
-def h_minus_elements(j: SpinJ, gamma: float, omega0: float = 1.0) -> GeneralTridiag:
+def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:
     """H- built directly from its closed-form matrix elements.
 
     Indices m, m' = -J .. -1 ascending; diagonal m^2 cosh(2g), off-diagonals
@@ -215,41 +205,21 @@ def h_minus_elements(j: SpinJ, gamma: float, omega0: float = 1.0) -> GeneralTrid
     # subdiagonal (row m, col m-1): +(m'/2)sqrt((J-m')(J+m'+1)) sinh(2g), m' = m-1
     mq = m[:-1]
     sub = (mq / 2.0) * np.sqrt((jj - mq) * (jj + mq + 1.0)) * s2
-    w = omega0**2
-    return GeneralTridiag(alpha=w * alpha, beta=w * -sup, gamma_sub=w * sub)
+    return GeneralTridiag(alpha=alpha, beta=-sup, gamma_sub=sub)
 
 
-def _sym_block(j: SpinJ, gamma: float, m_list: np.ndarray, omega0: float = 1.0) -> SymTridiag:
-    """Symmetric tridiagonal block of the rotated Hamiltonian on an m-list
-    of common parity (consecutive entries differ by 2)."""
+def _sym_block(j: SpinJ, gamma: float, m: np.ndarray) -> SymTridiag:
+    """Symmetric tridiagonal block of the rotated Hamiltonian on the float
+    m-range m (consecutive entries differ by 2)."""
     jj = j.two_j / 2.0
     c2, s2 = math.cosh(2.0 * gamma), math.sinh(2.0 * gamma)
-    m = np.asarray(m_list, dtype=float)
     diag = 0.5 * (jj * (jj + 1.0) - m * m) * c2 + 0.5 * m * s2
     mm = m[:-1]
     off = 0.25 * np.sqrt((jj - mm) * (jj + mm + 1.0) * (jj - mm - 1.0) * (jj + mm + 2.0))
-    w = omega0**2
-    return SymTridiag(diag=w * diag, off=w * off)
+    return SymTridiag(diag=diag, off=off)
 
 
-def parity_blocks_susy(j: SpinJ, gamma: float, omega0: float = 1.0) -> tuple:
-    """(even, odd) m-parity blocks of the rotated SUSY Hamiltonian.
-
-    Both are real symmetric tridiagonal; re-embedding them reproduces the
-    parity-permuted dense Hamiltonian exactly, and the union of their spectra
-    is the full spectrum.
-    """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("parity blocks need integer J")
-    if j.two_j < 2:
-        raise NotIntegerSpin("parity blocks need J >= 1")
-    idx = parity_sort(j)
-    even = _sym_block(j, gamma, np.array(idx.even_m), omega0)
-    odd = _sym_block(j, gamma, np.array(idx.odd_m), omega0)
-    return even, odd
-
-
-def susy_sector_blocks(j: SpinJ, gamma: float, omega0: float = 1.0) -> tuple:
+def susy_sector_blocks(j: SpinJ, gamma: float) -> tuple:
     """(zero_sector, gap_sector) blocks of the rotated SUSY Hamiltonian.
 
     The zero sector {m : m == J (mod 2)} has size J+1 and contains the zero
@@ -260,14 +230,14 @@ def susy_sector_blocks(j: SpinJ, gamma: float, omega0: float = 1.0) -> tuple:
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("SUSY sector blocks need integer J")
-    _check_gamma(j, gamma, omega0)
-    idx = susy_sort(j)
-    zero_sector = _sym_block(j, gamma, np.array(idx.even_m), omega0)
-    gap_sector = _sym_block(j, gamma, np.array(idx.odd_m), omega0)
+    _check_gamma(j, gamma)
+    jj = j.two_j // 2
+    zero_sector = _sym_block(j, gamma, np.arange(-jj, jj + 1, 2, dtype=float))
+    gap_sector = _sym_block(j, gamma, np.arange(-jj + 1, jj, 2, dtype=float))
     return zero_sector, gap_sector
 
 
-def gap_sector_tridiag(j: SpinJ, gamma: float, omega0: float = 1.0) -> SymTridiag:
+def gap_sector_tridiag(j: SpinJ, gamma: float) -> SymTridiag:
     """O(J)-memory construction of the gap sector block only.
 
     The gap sector is {m = -J+1, -J+3, ..., J-1}, size J, for every integer
@@ -278,23 +248,22 @@ def gap_sector_tridiag(j: SpinJ, gamma: float, omega0: float = 1.0) -> SymTridia
     jj = j.two_j // 2
     if jj < 1:
         raise NotIntegerSpin("gap sector needs J >= 1")
-    m = np.arange(-jj + 1, jj, 2, dtype=float)
-    return _sym_block(j, gamma, m, omega0)
+    return _sym_block(j, gamma, np.arange(-jj + 1, jj, 2, dtype=float))
 
 
-def supercharge_chain(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
     """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
 
-    e_i = |omega0| v_m e^(-g) for even i and |omega0| v_m e^(+g) for odd i,
-    with m = i - J, v_m = sqrt((J-m)(J+m+1))/2 and i = 0 .. 2J-1: the entries
-    of M that couple the m = -J (mod 2) rows to the other columns, i.e. the
-    bidiagonal block build_supercharges slices, walked in Golub-Kahan order.
+    e_i = v_m e^(-g) for even i and v_m e^(+g) for odd i, with m = i - J,
+    v_m = sqrt((J-m)(J+m+1))/2 and i = 0 .. 2J-1: the entries of M that
+    couple the m = -J (mod 2) rows to the other columns, i.e. the bidiagonal
+    block build_supercharges slices, walked in Golub-Kahan order.
     The zero-diagonal tridiagonal with this off-diagonal has eigenvalues
     +-sigma_k of that block (and 0 for integer J).
     """
     jj = j.two_j / 2.0
     m = np.arange(j.two_j) - jj
-    e = 0.5 * abs(omega0) * np.sqrt((jj - m) * (jj + m + 1.0))
+    e = 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
     e[0::2] *= math.exp(-gamma)
     e[1::2] *= math.exp(gamma)
     return e

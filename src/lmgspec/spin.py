@@ -22,7 +22,6 @@ __all__ = [
     "ParityIndex",
     "build_spin_operators",
     "mat_exp_scaled",
-    "parity_sort",
     "susy_sort",
 ]
 
@@ -57,11 +56,6 @@ class SpinJ:
     @property
     def dim(self) -> int:
         return self.two_j + 1
-
-    @property
-    def n_particles(self) -> int:
-        """N = 2J spin-1/2 particles in the maximal symmetric sector."""
-        return self.two_j
 
     def is_integer_spin(self) -> bool:
         return self.two_j % 2 == 0
@@ -155,44 +149,18 @@ class ParityIndex:
         """Conjugate a (2J+1)x(2J+1) matrix into the sector-sorted basis."""
         return matrix[np.ix_(self.perm, self.perm)]
 
-    def blocks(self, matrix: np.ndarray):
-        """Return the (first, second) diagonal blocks of the sorted matrix."""
-        sorted_m = self.apply(matrix)
-        k = len(self.even_m)
-        return sorted_m[:k, :k], sorted_m[k:, k:]
-
-
-def _make_index(j: SpinJ, first: list, second: list) -> ParityIndex:
-    to_idx = lambda m: int(m + j.two_j // 2)
-    perm = np.array([to_idx(m) for m in first] + [to_idx(m) for m in second])
-    return ParityIndex(j=j, even_m=tuple(first), odd_m=tuple(second), perm=perm)
-
-
-def parity_sort(j: SpinJ) -> ParityIndex:
-    """Split the basis by parity of m: even-m sector first, both ascending.
-
-    For integer J the even-m sector always contains m = 0; sizes are
-    (J+1, J) for even J and (J, J+1) for odd J.
-    """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("m-parity split needs integer m, i.e. integer J")
-    ms = [int(m) for m in j.m_values()]
-    even = [m for m in ms if m % 2 == 0]
-    odd = [m for m in ms if m % 2 != 0]
-    return _make_index(j, even, odd)
-
 
 def susy_sort(j: SpinJ) -> ParityIndex:
     """Split the basis by boson-excitation parity F = (m + J) mod 2.
 
     The F=0 sector {m : m == J (mod 2)} comes first; it has size J+1 and is
     the sector holding the zero mode.  The F=1 sector has size J.  For even J
-    this coincides with parity_sort; for odd J the two labelings swap.
+    these are the even-m and odd-m sectors; for odd J the two swap.
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("SUSY sector split needs integer J")
     jj = j.two_j // 2
-    ms = [int(m) for m in j.m_values()]
-    f0 = [m for m in ms if (m - jj) % 2 == 0]
-    f1 = [m for m in ms if (m - jj) % 2 != 0]
-    return _make_index(j, f0, f1)
+    f0 = tuple(range(-jj, jj + 1, 2))
+    f1 = tuple(range(-jj + 1, jj, 2))
+    perm = np.array([m + jj for m in f0 + f1])
+    return ParityIndex(j=j, even_m=f0, odd_m=f1, perm=perm)

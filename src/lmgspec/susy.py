@@ -42,9 +42,9 @@ class Supercharges:
     r2: np.ndarray
 
 
-def susy_sorted_hamiltonian(j: SpinJ, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def susy_sorted_hamiltonian(j: SpinJ, gamma: float) -> np.ndarray:
     """Rotated SUSY Hamiltonian permuted into the supercharge basis."""
-    return susy_sort(j).apply(build_susy_rotated(j, gamma, omega0))
+    return susy_sort(j).apply(build_susy_rotated(j, gamma))
 
 
 def build_supercharges(j: SpinJ, gamma: float) -> Supercharges:
@@ -131,9 +131,13 @@ def verify_superalgebra_bands(j: SpinJ, gamma: float) -> SuperalgebraResiduals:
 
     r_q1_sq : T^2 has diagonal e_{i-1}^2 + e_i^2 and second off-diagonal
               e_i e_{i+1} (e_{-1} = e_{2J} = 0); compared with d and s.
-    r_comm  : max |[T, H]|, whose even-row, odd-column block is X'G' - Z X'
-              with X' the (J+1) x J lower bidiagonal with diagonal e[0::2]
-              and subdiagonal e[1::2]; the other block is minus its transpose.
+    r_comm  : max |[T / 2^k, H]|, whose even-row, odd-column block is
+              X'G' - Z X' with X' the (J+1) x J lower bidiagonal with diagonal
+              e[0::2] and subdiagonal e[1::2]; the other block is minus its
+              transpose.  [T, H] rounds at eps*|T|*|H|, so T is scaled by the
+              exact power of two that puts max(e) / 2^k in [1, 2): the
+              residual then rounds at eps*|H|, the level of the bound in
+              passed(), and no product overflows inside the gamma guard.
     r_q2_sq, r_anti : r2 = diag(-I, I) Q1, and Q1 anticommutes with
               D = diag(-I, I), so r2^T r2 = Q1 D D Q1 = Q1^2 and
               Q1 r2 + r2 Q1 = (Q1 D + D Q1) Q1 = 0; likewise
@@ -152,9 +156,11 @@ def verify_superalgebra_bands(j: SpinJ, gamma: float) -> SuperalgebraResiduals:
     ep = np.concatenate(([0.0], e, [0.0]))      # ep[i + 1] = e_i
     sp = np.concatenate(([0.0], s, [0.0]))      # sp[i + 1] = s_i
     r_sq = _max_abs(ep[:-1] ** 2 + ep[1:] ** 2 - d, e[:-1] * e[1:] - s)
-    # [T, H] = TH - HT on its first and third superdiagonals
-    first = (e * d[1:] + ep[:-2] * sp[:-1]) - (d[:-1] * e + sp[1:] * ep[2:])
-    third = e[:-2] * s[1:] - s[:-1] * e[2:]
+    # [T, H] = TH - HT on its first and third superdiagonals, with T / 2^k
+    k = math.frexp(float(np.max(e, initial=0.0)))[1] - 1
+    t, tp = np.ldexp(e, -k), np.ldexp(ep, -k)
+    first = (t * d[1:] + tp[:-2] * sp[:-1]) - (d[:-1] * t + sp[1:] * tp[2:])
+    third = t[:-2] * s[1:] - s[:-1] * t[2:]
     r_comm = _max_abs(first, third)
     return SuperalgebraResiduals(
         r_q1_sq=r_sq, r_q2_sq=r_sq, r_anti=0.0, r_comm=r_comm, h_norm=_max_abs(d, s)

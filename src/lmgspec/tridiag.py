@@ -38,7 +38,7 @@ class SymTridiag:
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
     def to_general(self) -> "GeneralTridiag":
-        """View as a GeneralTridiag (superdiag = off means beta = -off)."""
+        """View as a GeneralTridiag (superdiagonal = off means beta = -off)."""
         return GeneralTridiag(alpha=self.diag, beta=-self.off, gamma_sub=self.off)
 
 
@@ -61,16 +61,8 @@ class GeneralTridiag:
         return len(self.alpha)
 
     @property
-    def superdiag(self) -> np.ndarray:
-        return -self.beta
-
-    @property
-    def subdiag(self) -> np.ndarray:
-        return self.gamma_sub
-
-    @property
     def offdiag_products(self) -> np.ndarray:
-        """Products superdiag*subdiag; the only off-diagonal data the
+        """Products superdiagonal*subdiagonal; the only off-diagonal data the
         characteristic polynomial and the spectrum depend on."""
         return -self.beta * self.gamma_sub
 

@@ -30,12 +30,11 @@ def complex_spin_ops(two_j: int):
     return jx, jy, jz
 
 
-def oracle_h_susy(two_j: int, gamma: float, omega0: float = 1.0) -> np.ndarray:
+def oracle_h_susy(two_j: int, gamma: float) -> np.ndarray:
     """Dense SUSY Hamiltonian assembled in complex arithmetic."""
     jx, jy, jz = complex_spin_ops(two_j)
     c, s = math.cosh(gamma), math.sinh(gamma)
     h = c * c * (jx @ jx) + s * s * (jy @ jy) + c * s * jz
-    h = omega0**2 * h
     assert np.max(np.abs(h.imag)) < 1e-13 * max(1.0, np.max(np.abs(h.real)))
     return h.real
 

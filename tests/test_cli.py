@@ -1,12 +1,13 @@
 """End-to-end CLI tests: exit codes, CSV/JSON schemas, determinism, plots."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lmgspec import cli
+from lmgspec import GeneralTridiag, SpinJ, build_nonhermitian, cli, extract_hn_blocks
 from lmgspec.cli import main
 
 
@@ -235,6 +236,30 @@ class TestSusyCheck:
         code, out, err = run(capsys, "susy-check", "--j", "2", "--gamma", "nan")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("gamma", [15.0, 30.0, 100.0, 236.5, 300.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("j", ["1", "2", "5", "12"])
+    def test_large_gamma_passes(self, capsys, j, sign, gamma):
+        # [Q, H] and the characteristic polynomials are formed after exact
+        # power-of-two scalings, so rounding stays at the bounds' level and
+        # nothing overflows inside the gamma guard
+        code, out, _ = run(capsys, "susy-check", "--j", j, "--gamma", repr(sign * gamma))
+        assert code == 0 and "FAIL" not in out
+
+    @pytest.mark.parametrize("gamma", [0.7, 100.0])
+    def test_charpoly_residual_detects_h_minus_error(self, gamma):
+        jv = SpinJ(4)
+        hn = build_nonhermitian(jv, gamma)
+        blocks = extract_hn_blocks(hn, jv)
+        assert cli.charpoly_residual(hn, blocks) <= 1e-8
+        h_minus = blocks.h_minus
+        beta = h_minus.beta.copy()
+        beta[0] *= 1.0 + 1e-6
+        mutant = dataclasses.replace(
+            blocks, h_minus=GeneralTridiag(h_minus.alpha, beta, h_minus.gamma_sub)
+        )
+        assert cli.charpoly_residual(hn, mutant) > 1e-8
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "susy-check", "--j", "4", "--gamma", "0.9", "--format", "json",
@@ -246,6 +271,34 @@ class TestSusyCheck:
         assert "superalgebra_q1_sq" in names
         assert "charpoly_factorization" in names
         assert "h_plus_minus_permutation_equivalent" in names
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["gap-scan", "--j-list", "2", "--gamma", "0"], ["--tol", "1e-8"]),
+        (["ground-state", "--j", "2", "--gamma", "0"], ["--tol", "1e-8"]),
+        (["bench", "--j-list", "2", "--gamma", "0"], ["--tol", "1e-8"]),
+        (["susy-check", "--j", "2", "--gamma", "0"], ["--emit-plot", "x.gp"]),
+        (["ground-state", "--j", "2", "--gamma", "0"], ["--emit-plot", "x.gp"]),
+        (["bench", "--j-list", "2", "--gamma", "0"], ["--emit-plot", "x.gp"]),
+        (["susy-check", "--j", "2", "--gamma", "0.5"], ["--threads", "0"]),
+        (["ground-state", "--j", "2", "--gamma", "0"], ["--threads", "1"]),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--j", "2", "--gamma", "0"],
+        ["susy-check", "--j", "2", "--gamma", "0"],
+    ])
+    def test_bad_tol_is_one_error_line(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
 
 
 class TestMain:

@@ -28,10 +28,9 @@ from lmgspec import (
     gap_sector_tridiag,
     h_minus_elements,
     params_from_chi,
-    parity_blocks_susy,
-    parity_sort,
     supercharge_chain,
     susy_sector_blocks,
+    susy_sort,
 )
 
 GAMMAS = [0.0, 0.3, -0.7, 1.5]
@@ -55,8 +54,9 @@ class TestParams:
         assert math.isclose(q.omega0, 1.3, rel_tol=1e-12)
 
     def test_susy_point(self):
-        assert ModelParams.from_gamma(0.5).susy_point()
-        assert not ModelParams.from_gamma(0.5, lam=0.7).susy_point()
+        # from_gamma defaults to the SUSY point lambda = 1
+        assert ModelParams.from_gamma(0.5).lam == 1.0
+        assert ModelParams.from_gamma(0.5, lam=0.7).lam == 0.7
 
 
 class TestBuilders:
@@ -112,12 +112,6 @@ class TestBuilders:
         eigs = eig_dense_symmetric(h)
         assert eigs[0] > -1e-9 * np.max(np.abs(eigs))
 
-    @pytest.mark.parametrize("g", GAMMAS)
-    def test_omega0_scaling(self, g):
-        jv = SpinJ(6)
-        for build in (build_susy_rotated, build_factorized, build_nonhermitian):
-            assert np.allclose(build(jv, g, 2.0), 4.0 * build(jv, g, 1.0), rtol=1e-14)
-
 
 class TestNonHermitianBlocks:
     @pytest.mark.parametrize("g", [0.3, 0.7, 1.1])
@@ -129,7 +123,8 @@ class TestNonHermitianBlocks:
         assert np.array_equal(b.h_minus.to_dense(), ref_h_minus_j2(g))
         assert np.array_equal(b.h_plus.to_dense(), ref_h_plus_j2(g))
         assert np.array_equal(b.a_vec, ref_a_vec_j2(g))
-        assert np.array_equal(b.a_vec_pos, hn[2, 3:])
+        # reflection symmetry: the positive-m half of the m=0 row is a_vec too
+        assert np.array_equal(b.a_vec, hn[2, 3:])
 
     @pytest.mark.parametrize("two_j", [2, 4, 6, 10, 16])
     def test_zero_column_at_m0(self, two_j):
@@ -164,13 +159,14 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("g", GAMMAS)
     @pytest.mark.parametrize("two_j", [2, 6, 8, 14])
     def test_parity_blocks_reembed_exactly(self, two_j, g):
+        # the SUSY sectors are the m-parity sectors (swapped for odd J)
         jv = SpinJ(two_j)
-        even, odd = parity_blocks_susy(jv, g)
-        sorted_h = parity_sort(jv).apply(build_susy_rotated(jv, g))
-        k = even.n
+        zero_sec, gap_sec = susy_sector_blocks(jv, g)
+        sorted_h = susy_sort(jv).apply(build_susy_rotated(jv, g))
+        k = zero_sec.n
         dense = np.zeros_like(sorted_h)
-        dense[:k, :k] = even.to_dense()
-        dense[k:, k:] = odd.to_dense()
+        dense[:k, :k] = zero_sec.to_dense()
+        dense[k:, k:] = gap_sec.to_dense()
         assert np.allclose(dense, sorted_h, atol=1e-13 * max(1.0, np.max(np.abs(sorted_h))))
         # the coupling blocks of the sorted Hamiltonian vanish identically
         assert np.max(np.abs(sorted_h[:k, k:])) == 0.0
@@ -207,8 +203,8 @@ class TestSectorBlocks:
         m = (math.cosh(g) * jx + 1j * math.sinh(g) * jy).real
         i = np.arange(two_j)
         expect = np.where(i % 2 == 0, m[i, i + 1], m[i + 1, i])
-        got = supercharge_chain(SpinJ(two_j), g, omega0=-2.0)
-        assert np.allclose(got, 2.0 * expect, rtol=1e-14, atol=0.0)
+        got = supercharge_chain(SpinJ(two_j), g)
+        assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
     def test_zero_sector_holds_zero_mode(self):
         jv = SpinJ(10)
@@ -220,8 +216,6 @@ class TestSectorBlocks:
         assert e1[0] > 1.0  # the gap sector is bounded away from zero
 
     def test_errors(self):
-        with pytest.raises(NotIntegerSpin):
-            parity_blocks_susy(SpinJ(3), 0.5)
         with pytest.raises(NotIntegerSpin):
             susy_sector_blocks(SpinJ(5), 0.5)
         with pytest.raises(NotIntegerSpin):

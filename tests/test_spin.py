@@ -15,7 +15,6 @@ from lmgspec import (
     SpinJ,
     build_spin_operators,
     mat_exp_scaled,
-    parity_sort,
     susy_sort,
 )
 
@@ -42,7 +41,7 @@ class TestSpinJ:
 
     def test_basic_properties(self):
         j = SpinJ(4)
-        assert j.j == 2.0 and j.dim == 5 and j.n_particles == 4
+        assert j.j == 2.0 and j.dim == 5
         assert j.is_integer_spin()
         assert str(j) == "2"
         assert np.array_equal(j.m_values(), [-2, -1, 0, 1, 2])
@@ -124,13 +123,16 @@ class TestMatExp:
 
 class TestSorting:
     def test_parity_sort_j2(self):
-        idx = parity_sort(SpinJ(4))
+        # for even J the SUSY split is the m-parity split
+        idx = susy_sort(SpinJ(4))
         assert idx.even_m == (-2, 0, 2) and idx.odd_m == (-1, 1)
         assert np.array_equal(idx.perm, [0, 2, 4, 1, 3])
         assert idx.sizes == (3, 2)
 
     def test_susy_sort_even_j_matches_parity(self):
-        assert np.array_equal(susy_sort(SpinJ(8)).perm, parity_sort(SpinJ(8)).perm)
+        idx = susy_sort(SpinJ(8))
+        assert idx.even_m == (-4, -2, 0, 2, 4) and idx.odd_m == (-3, -1, 1, 3)
+        assert np.array_equal(idx.perm, [0, 2, 4, 6, 8, 1, 3, 5, 7])
 
     def test_susy_sort_odd_j_swaps(self):
         idx = susy_sort(SpinJ(6))          # J = 3: zero sector holds odd m
@@ -145,7 +147,7 @@ class TestSorting:
 
     def test_half_integer_rejected(self):
         with pytest.raises(NotIntegerSpin):
-            parity_sort(SpinJ(3))
+            susy_sort(SpinJ(3))
         with pytest.raises(NotIntegerSpin):
             susy_sort(SpinJ(5))
 
@@ -153,9 +155,11 @@ class TestSorting:
         idx = susy_sort(SpinJ(6))
         m = rng.standard_normal((7, 7))
         sorted_m = idx.apply(m)
-        a, b = idx.blocks(m)
-        assert np.array_equal(sorted_m[:4, :4], a)
-        assert np.array_equal(sorted_m[4:, 4:], b)
+        first = [mv + 3 for mv in idx.even_m]       # basis index i = m + J
+        second = [mv + 3 for mv in idx.odd_m]
+        assert np.array_equal(sorted_m[:4, :4], m[np.ix_(first, first)])
+        assert np.array_equal(sorted_m[4:, 4:], m[np.ix_(second, second)])
+        assert np.array_equal(sorted_m[:4, 4:], m[np.ix_(first, second)])
 
     @settings(max_examples=20, deadline=None)
     @given(jj=st.integers(1, 30))

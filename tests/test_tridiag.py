@@ -25,8 +25,8 @@ class TestSymTridiag:
         t = SymTridiag(diag=[1.0, 2.0], off=[3.0])
         g = t.to_general()
         assert np.array_equal(g.to_dense(), t.to_dense())
-        assert np.array_equal(g.superdiag, [3.0])
-        assert np.array_equal(g.subdiag, [3.0])
+        assert np.array_equal(-g.beta, [3.0])       # superdiagonal
+        assert np.array_equal(g.gamma_sub, [3.0])   # subdiagonal
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
