@@ -8,6 +8,7 @@ from .errors import (
     LmgError,
     MethodUnavailable,
     NonFiniteInput,
+    NotConverged,
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -291,7 +292,7 @@ def cmd_susy_check(args) -> int:
 
     h_dense = build_susy_rotated(jv, g)
     eigs = eig_dense_symmetric(h_dense)
-    report = classify_spectrum(eigs, jv, tol=max(tol, 1e-8))
+    report = classify_spectrum(eigs, jv, tol=tol)
 
     if jv.is_integer_spin():
         res = verify_superalgebra_bands(jv, g)
@@ -382,15 +383,26 @@ BENCH_HEADER = ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes
 
 
 def cmd_bench(args) -> int:
+    """Per cell: the solve's wall time and its tracemalloc peak in bytes,
+    above what was already traced when the solve began."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
 
     def run_cell(cell):
         jv, g = cell
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
-        res = spectral_gap(jv, g, method="tridiag")
-        elapsed = time.perf_counter() - start
-        mem = 2 * 8 * (jv.two_j // 2)      # two length-J float64 arrays
+        try:
+            res = spectral_gap(jv, g, method="tridiag")
+            elapsed = time.perf_counter() - start
+            mem = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
         return (str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem)
 
     cells = [(jv, g) for jv in j_values for g in gammas]

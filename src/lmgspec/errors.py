@@ -43,3 +43,7 @@ class MethodUnavailable(LmgError):
 
 class NonFiniteInput(LmgError):
     """A model parameter is NaN or infinite."""
+
+
+class NotConverged(LmgError):
+    """An iterative solver reached its step cap before its stopping test held."""

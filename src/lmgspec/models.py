@@ -251,7 +251,7 @@ def gap_sector_tridiag(j: SpinJ, gamma: float) -> SymTridiag:
     return _sym_block(j, gamma, np.arange(-jj + 1, jj, 2, dtype=float))
 
 
-def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
+def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.ndarray:
     """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
 
     e_i = v_m e^(-g) for even i and v_m e^(+g) for odd i, with m = i - J,
@@ -260,10 +260,11 @@ def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
     block build_supercharges slices, walked in Golub-Kahan order.
     The zero-diagonal tridiagonal with this off-diagonal has eigenvalues
     +-sigma_k of that block (and 0 for integer J).
+    start and stop select the entries e_start .. e_(stop-1) (default: all).
     """
     jj = j.two_j / 2.0
-    m = np.arange(j.two_j) - jj
+    m = np.arange(start, j.two_j if stop is None else stop) - jj
     e = 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
-    e[0::2] *= math.exp(-gamma)
-    e[1::2] *= math.exp(gamma)
+    e[start % 2::2] *= math.exp(-gamma)
+    e[1 - start % 2::2] *= math.exp(gamma)
     return e

@@ -232,7 +232,7 @@ def test_criterion_08_oracle_equivalence(capsys):
 
 
 def test_criterion_09_performance(capsys):
-    spectral_gap(SpinJ(20), 0.1)  # warm up the jitted kernel
+    spectral_gap(SpinJ(20), 0.1)  # first call outside the timing: one-off set-up costs
     times = {}
     for jj in (10**5, 10**6, 10**7):
         start = time.perf_counter()

@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from lmgspec import GeneralTridiag, SpinJ, build_nonhermitian, cli, extract_hn_blocks
+from lmgspec import (
+    GeneralTridiag,
+    SpinJ,
+    build_nonhermitian,
+    build_susy_rotated,
+    classify_spectrum,
+    cli,
+    eig_dense_symmetric,
+    extract_hn_blocks,
+)
 from lmgspec.cli import main
 
 
@@ -204,6 +213,15 @@ class TestSusyCheck:
         code, out, _ = run(capsys, "susy-check", "--j", "3", "--gamma", "0")
         assert code == 0 and "SusyPattern" in out
 
+    def test_tol_reaches_the_classification(self, capsys):
+        jv = SpinJ.from_j("3")
+        eigs = eig_dense_symmetric(build_susy_rotated(jv, 0.7))
+        expected = classify_spectrum(eigs, jv, tol=1e-300).verdict
+        code, out, _ = run(capsys, "susy-check", "--j", "3", "--gamma", "0.7", "--tol", "1e-300")
+        assert f"verdict: {expected}" in out
+        assert ("FAIL  spectrum_classification" in out) == (expected != "SusyPattern")
+        assert code == (0 if expected == "SusyPattern" else 1)
+
     def test_half_integer_broken_is_expected(self, capsys):
         code, out, _ = run(capsys, "susy-check", "--j", "1.5", "--gamma", "0.5")
         assert code == 0
@@ -369,4 +387,13 @@ class TestBench:
         assert header == ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes"]
         assert abs(float(rows[0]["gap"]) - 1.0) < 1e-12
         assert float(rows[0]["seconds"]) >= 0.0
-        assert int(rows[0]["mem_bytes"]) == 2 * 8 * 10
+        assert int(rows[0]["mem_bytes"]) > 0
+
+    def test_mem_bytes_is_measured(self, capsys):
+        # The large-J solve keeps four length-J float64 arrays alive at once
+        # (d, l and two iterates), so a measured peak is at least 4 * 8 * J.
+        jj = 10**5
+        code, out, _ = run(capsys, "bench", "--j-list", str(jj), "--gamma", "0.5")
+        assert code == 0
+        mem = int(csv_rows(out)[1][0]["mem_bytes"])
+        assert 4 * 8 * jj <= mem <= 16 * 8 * jj

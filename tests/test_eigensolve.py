@@ -7,11 +7,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import gap_closed_form_j2
+from lmgspec import eigensolve
+from lmgspec.eigensolve import _gap_inverse_iteration
 from lmgspec import (
     CharPoly,
     DimensionTooLarge,
     MethodUnavailable,
     NonFiniteInput,
+    NotConverged,
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
@@ -225,7 +228,7 @@ class TestSpectralGap:
         with pytest.raises(NotIntegerSpin):
             spectral_gap(SpinJ(0), 0.5)
 
-    @pytest.mark.parametrize("two_j", [8, 40002])  # chain path, bisection path
+    @pytest.mark.parametrize("two_j", [8, 40002])  # chain, inverse iteration
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises(self, two_j, gamma):
         with pytest.raises(NonFiniteInput):
@@ -234,7 +237,7 @@ class TestSpectralGap:
     @pytest.mark.parametrize("jj, gamma", [
         (5, 354.5),       # the squared chain overflows inside dstebz
         (5, 400.0),       # cosh(2 gamma) overflows
-        (10**6, 345.0),   # the block overflows on the bisection path
+        (10**6, 345.0),   # the squared chain overflows at J = 1e6
     ])
     def test_overflow_raises(self, jj, gamma):
         with pytest.raises(OverflowRisk):
@@ -243,3 +246,82 @@ class TestSpectralGap:
     def test_largest_finite_gamma_still_solves(self):
         res = spectral_gap(SpinJ(10), 353.0)
         assert math.isfinite(res.gap) and res.satisfied
+
+
+TWO_KERNEL_GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 30.0, -30.0,
+                     200.0, -200.0, 300.0, -300.0]
+
+
+class TestGapInverseIteration:
+    """The J > 20000 gap kernel: inverse iteration on relatively accurate
+    LDL^T factors of the gap-sector block."""
+
+    @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
+    def test_agrees_with_chain_directly(self, g):
+        for jj in list(range(1, 41)) + [1000]:
+            jv = SpinJ(2 * jj)
+            chain = supercharge_sigma_min(jv, g) ** 2
+            assert abs(_gap_inverse_iteration(jv, g) - chain) <= 1e-12 * chain
+
+    @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
+    @pytest.mark.parametrize("jj", [20001, 50000])
+    def test_agrees_with_chain_through_spectral_gap(self, jj, g):
+        jv = SpinJ(2 * jj)
+        chain = supercharge_sigma_min(jv, g) ** 2
+        res = spectral_gap(jv, g)
+        assert abs(res.gap - chain) <= 1e-12 * chain
+        assert res.satisfied
+
+    @pytest.mark.parametrize("jj, tol", [(10**6, 1e-11), (10**7, 1e-10)])
+    def test_gap_is_one_at_gamma_zero(self, jj, tol):
+        assert abs(spectral_gap(SpinJ(2 * jj), 0.0).gap - 1.0) <= tol
+
+    @pytest.mark.parametrize("g", [0.5, -0.5, 1.3, -1.3])
+    def test_large_j_asymptote(self, g):
+        """gap(J, g) = J sinh 2|g| - e^(-2|g|)/2 + O(1/J) for g != 0.
+
+        Holstein-Primakoff derivation.  H = cosh^2 g Jx^2 + sinh^2 g Jy^2
+        + (sinh 2g / 2) Jz, and H(-g) is H(g) under m -> -m, so take g > 0,
+        c = cosh 2g, s = sinh 2g.  With Jx^2 + Jy^2 = J(J+1) - Jz^2,
+            H = (c/2)(J(J+1) - Jz^2) + (J+^2 + J-^2)/4 + (s/2) Jz,
+        whose classical minimum is Jz = -J.  Expand about it with
+        Jz = -J + n, n = a^+ a, J+ = a^+ sqrt(2J - n), so that
+        J+^2 = a^+^2 sqrt((2J-n)(2J-n-1)) = a^+^2 (2J - n - 1/2) + O(1/J):
+            H = J h1 + h0 + O(1/J),
+            h1 = (c - s)/2 + c n + (a^+^2 + a^2)/2,
+            h0 = (s/2) n - (c/2) n^2 - (a^+^2 (n + 1/2) + h.c.)/4.
+        The Bogoliubov map a = u b - v b^+, u = cosh t, v = sinh t,
+        tanh 2t = 1/c gives h1 = s b^+b: the zero energy of the SUSY ground
+        state at this order, and a first level J s.  First-order perturbation
+        in h0 between the b-vacuum and the one-quasiparticle state, with
+        u^2 + v^2 = c/s and uv = 1/(2s), adds c/2 from (s/2) n,
+        -(c/2)(2c^2/s^2 - c/s + 1/s^2) from -(c/2) n^2 and (3c/s - 1)/(2s)
+        from the a^+^2 term; their sum is (s - c)/2 = -e^(-2g)/2.  The next
+        terms, second order in h0 over level spacings J s and the 1/J part
+        of the square root, are O(1/J).
+        """
+        jj = 10**6
+        asymptote = jj * math.sinh(2 * abs(g)) - 0.5 * math.exp(-2 * abs(g))
+        assert abs(spectral_gap(SpinJ(2 * jj), g).gap - asymptote) <= 1.0 / jj
+
+    def test_j1(self):
+        jv = SpinJ(2)
+        for g in (0.0, 0.4, -2.0):
+            expect = math.cosh(2 * g)      # the 1x1 block a_0^2 + b_0^2
+            assert math.isclose(_gap_inverse_iteration(jv, g), expect, rel_tol=4e-16)
+            assert math.isclose(spectral_gap(jv, g).gap, expect, rel_tol=4e-16)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 2)
+        with pytest.raises(NotConverged):
+            spectral_gap(SpinJ(2 * 20001), 0.5)
+
+    @pytest.mark.parametrize("jj", [20001, 10**6])
+    def test_near_the_overflow_guard(self, jj):
+        # gamma_max is where cosh(2 gamma) * J * (J + 2) leaves float64
+        gamma_max = 0.5 * (math.log(2.0) + math.log(np.finfo(float).max / (jj * (jj + 2.0))))
+        for g in (gamma_max - 1e-3, -(gamma_max - 1e-3), gamma_max - 1.0):
+            res = spectral_gap(SpinJ(2 * jj), g)
+            assert math.isfinite(res.gap) and res.gap >= res.bound
+        with pytest.raises(OverflowRisk):
+            spectral_gap(SpinJ(2 * jj), gamma_max + 1e-3)

@@ -206,6 +206,13 @@ class TestSectorBlocks:
         got = supercharge_chain(SpinJ(two_j), g)
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("two_j", [3, 8, 21])
+    def test_supercharge_chain_range(self, two_j):
+        jv = SpinJ(two_j)
+        full = supercharge_chain(jv, 0.6)
+        for start, stop in ((0, two_j), (1, 3), (2, 3), (two_j - 1, two_j)):
+            assert np.array_equal(supercharge_chain(jv, 0.6, start, stop), full[start:stop])
+
     def test_zero_sector_holds_zero_mode(self):
         jv = SpinJ(10)
         zero_sec, gap_sec = susy_sector_blocks(jv, 0.8)
