@@ -50,13 +50,12 @@ from .susy import (
 from .eigensolve import (
     CharPoly,
     GapResult,
-    charpoly_dense,
     charpoly_tridiag,
     diagonal_lower_bound,
     eig_dense_symmetric,
     eig_symtridiag,
     spectral_gap,
-    supercharge_sigma_min,
+    spectral_gaps,
     symmetrize_tridiag,
 )
 from .groundstate import GroundState, ground_state, legendre_p

@@ -6,6 +6,7 @@ written to stdout or --out; floats are formatted as shortest round-trip
 decimals so repeated runs are byte-identical.  Grid cells run serially in
 grid order: the LAPACK calls hold the GIL, so a thread pool bought nothing.
 --threads (or LMG_THREADS) is still validated where it is accepted.
+gap-scan solves each J's whole gamma row in one spectral_gaps call.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
 (susy.verify_superalgebra_bands) and classifies the dense spectrum of H.
@@ -28,7 +29,7 @@ import tracemalloc
 
 import numpy as np
 
-from .eigensolve import charpoly_tridiag, eig_dense_symmetric, spectral_gap
+from .eigensolve import charpoly_tridiag, eig_dense_symmetric, spectral_gap, spectral_gaps
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
 from .models import HnBlocks, ModelParams, build_lmg_general, build_susy_rotated, \
@@ -56,11 +57,15 @@ def fmt(value) -> str:
     return str(value)
 
 
-def parse_j_values(text: str) -> list:
+def parse_j(text: str) -> SpinJ:
     try:
-        return [SpinJ.from_j(tok) for tok in text.split(",") if tok]
+        return SpinJ.from_j(text)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(str(exc)) from None
+
+
+def parse_j_values(text: str) -> list:
+    return [parse_j(tok) for tok in text.split(",") if tok]
 
 
 def parse_gamma(text: str) -> float:
@@ -73,7 +78,10 @@ def parse_gamma(text: str) -> float:
     return value
 
 
-def check_tol(value: float) -> float:
+def check_tol(value) -> float:
+    """--tol, or 1e-8 where it is unset."""
+    if value is None:
+        return 1e-8
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"--tol: must be positive and finite, got {value!r}")
     return value
@@ -183,6 +191,8 @@ def cmd_spectrum(args) -> int:
     gammas = gamma_grid(args)
     tol = check_tol(args.tol)
     if args.model == "general":
+        if args.tol is not None:
+            raise ConfigError("--tol: --model general classifies no pairs and reads no tolerance")
         missing = [f for f in ("xi", "chi1", "chi2", "lam") if getattr(args, f) is None]
         if missing:
             raise ConfigError("general model requires --xi --chi1 --chi2 --lambda")
@@ -212,7 +222,7 @@ def cmd_spectrum(args) -> int:
     rows = [r for chunk in map_cells(run_cell, cells, args) for r in chunk]
     config = {
         "command": "spectrum", "j": [str(j) for j in j_values], "gamma": gammas,
-        "model": args.model, "tol": tol,
+        "model": args.model, "tol": tol if args.model == "susy" else None,
     }
     if args.format == "json":
         text = render_json(config, SPECTRUM_HEADER, rows, {"n_rows": len(rows)})
@@ -232,17 +242,15 @@ GAP_HEADER = ["j", "gamma", "gap", "bound", "satisfied"]
 def cmd_gap_scan(args) -> int:
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
-
-    def run_cell(cell):
-        jv, g = cell
+    thread_count(args)
+    rows = []
+    for jv in j_values:
         try:
-            res = spectral_gap(jv, g, method="tridiag")
+            results = spectral_gaps(jv, gammas)
         except NotIntegerSpin:
-            return (str(jv), g, None, None, "error")
-        return (str(jv), g, res.gap, res.bound, res.satisfied)
-
-    cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = map_cells(run_cell, cells, args)
+            rows += [(str(jv), g, None, None, "error") for g in gammas]
+        else:
+            rows += [(str(jv), g, r.gap, r.bound, r.satisfied) for g, r in zip(gammas, results)]
     n_err = sum(1 for r in rows if r[4] == "error")
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
     summary = {"n_rows": len(rows), "n_errors": n_err}
@@ -285,7 +293,7 @@ def charpoly_residual(hn: np.ndarray, blocks: HnBlocks) -> float:
 
 
 def cmd_susy_check(args) -> int:
-    jv = SpinJ.from_j(args.j)
+    jv = parse_j(args.j)
     g = parse_gamma(args.gamma_value)
     tol = check_tol(args.tol)
     checks = []        # (name, passed, detail)
@@ -351,7 +359,7 @@ GROUND_HEADER = ["m", "amplitude"]
 
 
 def cmd_ground_state(args) -> int:
-    jv = SpinJ.from_j(args.j)
+    jv = parse_j(args.j)
     g = parse_gamma(args.gamma_value)
     state = ground_state(jv, g)
     ms = jv.m_values()
@@ -421,7 +429,7 @@ def cmd_bench(args) -> int:
 # The flags that only some subcommands read.
 _OPTIONAL_FLAGS = {
     "emit-plot": dict(help="write a gnuplot script referencing the CSV"),
-    "tol": dict(type=float, default=1e-8, help="pairing tolerance"),
+    "tol": dict(type=float, help="pairing tolerance (default 1e-8)"),
     "threads": dict(type=int,
                     help="thread count (env LMG_THREADS); validated, but fan-out is serial"),
 }

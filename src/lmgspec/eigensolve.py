@@ -1,21 +1,18 @@
 """Eigenvalue machinery.
 
-* The spectral gap as sigma_min^2 of the supercharge's bidiagonal block: one
-  LAPACK dstebz bisection on its zero-diagonal Golub-Kahan form, with high
-  relative accuracy (|gap(J, 0) - 1| measured 6.7e-15 at J = 1000 and
-  5.7e-14 at J = 20000; within 9.3e-16 relative of a 30-digit mpmath gap for
-  J <= 30, |gamma| <= 3).  Used up to J = 20000.
-* Above that, inverse iteration on LDL^T factors of the gap-sector block
-  X^T X (X the same bidiagonal block) that are built from the chain with
-  positive terms only, so the gap keeps high relative accuracy and each step
-  is one LAPACK dpttrs solve (|gap(J, 0) - 1| measured 1.7e-13 at J = 1e6
-  and 5.5e-12 at J = 1e7).
+* The spectral gap, at every integer J, by inverse iteration on LDL^T
+  factors of the gap-sector block X^T X (X the supercharge's bidiagonal
+  block) that are built from the chain with positive terms only, so the gap
+  keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
+  measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7.
+  The cells of one J run as one batch: their factors are stacked into one
+  block-diagonal matrix, so each step is one LAPACK dpttrs solve for all.
 * The smallest eigenvalue of a symmetric tridiagonal by dpttrf bisection
   (eig_symtridiag), absolute error ~eps*||t||; no longer on the gap path.
 * A dense symmetric oracle (LAPACK eigvalsh) for desk-scale cross-checks.
-* Characteristic polynomials: a three-term recurrence for tridiagonal
-  matrices and a Faddeev-LeVerrier trace recursion for small dense matrices,
-  used to verify the determinant factorization of the non-Hermitian form.
+* Characteristic polynomials by a three-term recurrence for tridiagonal
+  matrices, used to verify the determinant factorization of the
+  non-Hermitian form.
 * The similarity symmetrizer for sign-split tridiagonals and the resulting
   diagonal lower bound, which yields the gap bound cosh(2*gamma).
 """
@@ -27,7 +24,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
 
 from .errors import (
@@ -48,13 +44,12 @@ __all__ = [
     "CharPoly",
     "GapResult",
     "eig_symtridiag",
-    "supercharge_sigma_min",
     "eig_dense_symmetric",
     "charpoly_tridiag",
-    "charpoly_dense",
     "symmetrize_tridiag",
     "diagonal_lower_bound",
     "spectral_gap",
+    "spectral_gaps",
 ]
 
 _EPS = np.finfo(float).eps
@@ -112,38 +107,13 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
     return np.array([0.5 * (lo + hi)])
 
 
-_STEBZ_ABS_TOL = 2.0 * np.finfo(float).tiny
-
-
-def supercharge_sigma_min(j: SpinJ, gamma: float) -> float:
-    """Smallest positive singular value of the supercharge's bidiagonal block.
-
-    One LAPACK dstebz bisection for the smallest positive eigenvalue of the
-    zero-diagonal (Golub-Kahan) tridiagonal of size 2J+1 whose off-diagonal is
-    models.supercharge_chain; its eigenvalues are +-sigma_k, plus 0 for
-    integer J.  With the absolute tolerance 2*tiny, bisection returns sigma to
-    high relative accuracy (Demmel & Kahan 1990).  Squared, it is the spectral
-    gap for integer J >= 1 and, for gamma >= 0, the ground energy for
-    half-integer J.  Raises OverflowRisk where the squared chain entries,
-    which dstebz forms, are not finite in float64.
-    """
-    k = j.two_j // 2 + 1
-    chain = supercharge_chain(j, gamma)
-    top = float(np.max(chain, initial=0.0))
-    if not math.isfinite(top * top):
-        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the squared supercharge chain overflows")
-    return float(eigvalsh_tridiagonal(
-        np.zeros(j.dim), chain, select="i",
-        select_range=(k, k), lapack_driver="stebz", tol=_STEBZ_ABS_TOL,
-    )[0])
-
-
 _LDL_CHUNK = 1 << 16
 
 
-def _gap_ldl_factors(j: SpinJ, gamma: float) -> tuple:
-    """(d, l): the LDL^T factors of the gap-sector block X^T X at -|gamma|,
-    similarity-signed so that every d_k > 0 and every l_k < 0.
+def _gap_ldl_factors(j: SpinJ, gamma: float, d: np.ndarray, l: np.ndarray) -> None:
+    """Fill d and l[:J-1], views of length J, with the LDL^T factors of the
+    gap-sector block X^T X at -|gamma|, similarity-signed so that every
+    d_k > 0 and every l_k < 0; l[J-1] is not written.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -156,12 +126,9 @@ def _gap_ldl_factors(j: SpinJ, gamma: float) -> tuple:
     stays bounded.  Every operation adds or multiplies positive numbers, so
     each factor is accurate to a few ulps relative.  The recurrence for u is
     a unit lower bidiagonal solve (LAPACK dtbtrs), run on chunks of the
-    chain that carry u_(k-1) across chunk boundaries.  l has length
-    max(J-1, 1): the dpttrs wrapper wants a length-1 l at J = 1.
+    chain that carry u_(k-1) across chunk boundaries.
     """
-    n = j.two_j // 2
-    d = np.empty(n)
-    l = np.zeros(max(n - 1, 1))
+    n = d.size
     band = np.empty((2, min(n, _LDL_CHUNK)), order="F")  # row 0 (unit diagonal) is unread
     u_prev = 0.0
     for s in range(0, n, _LDL_CHUNK):
@@ -187,46 +154,68 @@ def _gap_ldl_factors(j: SpinJ, gamma: float) -> tuple:
         np.multiply(b[:k], a[1:], out=lk)
         lk /= dk[:k]
         np.negative(lk, out=lk)
-    return d, l
 
 
 _INVIT_MAX_STEPS = 100
 
 
-def _gap_inverse_iteration(j: SpinJ, gamma: float) -> float:
-    """Spectral gap for integer J >= 1 by inverse iteration on the LDL^T
-    factors of _gap_ldl_factors.
+def _batch_rows(n: int) -> int:
+    """Cells per batch of _gap_inverse_iteration at block size n: each row
+    array holds at most _LDL_CHUNK doubles, or one row."""
+    return max(1, _LDL_CHUNK // n)
 
-    Each step is one LAPACK dpttrs solve y = A^-1 x on a positive vector
-    (the signed block's inverse is entrywise positive, so y stays positive
-    and every sum in the solve and in the dot products adds positive terms),
-    followed by the Rayleigh quotient rho = x.y / y.y of y.  rho never rises
-    in exact arithmetic; the iteration stops once it falls by at most 2 eps
-    relative.  d is first scaled by an exact power of two so that its
-    smallest entry, an upper bound on the smallest eigenvalue, lies in
-    [1/2, 1): y.y then stays in float64 range.  It takes 8-11 steps at
-    gamma = 0 and about 27 at large J and gamma != 0, where lambda_1/lambda_0
-    is about 2.  Raises NotConverged after _INVIT_MAX_STEPS steps.
+
+def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
+    """Spectral gaps for integer J >= 1, one per gamma, by inverse iteration
+    on the LDL^T factors of _gap_ldl_factors.
+
+    The cells' factors are the rows of (nb, J) arrays d and l, with l = 0
+    at the end of each row, so the stacked block-diagonal matrix decouples
+    and each step is one LAPACK dpttrs solve y = A^-1 x for all cells; the
+    solve rounds each block exactly as it would alone.  Each block's inverse
+    is entrywise positive, so y stays positive and every sum in the solve
+    and in the dot products adds positive terms.  Per row, the Rayleigh
+    quotient rho = x.y / y.y of y never rises in exact arithmetic, and the
+    row's gap is taken at the first step where rho falls by at most 2 eps
+    relative.  Each row of d is first scaled by an exact power of two so
+    that its smallest entry, an upper bound on the smallest eigenvalue, lies
+    in [1/2, 1): y.y then stays in float64 range.  A row takes 8-11 steps
+    at gamma = 0 and about 27 at large J and gamma != 0, where
+    lambda_1/lambda_0 is about 2.  Raises NotConverged, naming the first
+    unsettled gamma, after _INVIT_MAX_STEPS steps.
     """
-    d, l = _gap_ldl_factors(j, gamma)
-    k = math.frexp(float(np.min(d)))[1]
-    np.ldexp(d, -k, out=d)
-    x = np.ones(d.size)
-    y = np.empty(d.size)
-    scale = 1.0 / math.sqrt(d.size)    # x * scale has unit norm
-    rho_old = math.inf
+    n, nb = j.two_j // 2, len(gammas)
+    d = np.empty((nb, n))
+    l = np.zeros((nb, n))
+    for row, g in enumerate(gammas):
+        _gap_ldl_factors(j, g, d[row], l[row])
+    if n == 1:  # a 1x1 block is its eigenvalue; a lone dpttrs solve rounds unlike a batch
+        return d[:, 0]
+    k = np.frexp(np.min(d, axis=1))[1]
+    np.ldexp(d, -k[:, None], out=d)
+    d_flat = d.ravel()
+    l_flat = l.ravel()[:-1]
+    x = np.ones((nb, n))
+    y = np.empty((nb, n))
+    scale = np.full(nb, 1.0 / math.sqrt(n))  # each row of x * scale has unit norm
+    rho_old = np.full(nb, math.inf)
+    gaps = np.empty(nb)
+    settled = np.zeros(nb, dtype=bool)
     for _ in range(_INVIT_MAX_STEPS):
-        np.multiply(x, scale, out=y)
-        y = dpttrs(d, l, y, overwrite_b=1)[0]
-        yy = float(y @ y)
-        rho = scale * float(x @ y) / yy
-        if rho_old - rho <= 2.0 * _EPS * rho:
-            return math.ldexp(rho, k)
+        np.multiply(x, scale[:, None], out=y)
+        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
+        yy = np.vecdot(y, y)
+        rho = scale * np.vecdot(x, y) / yy
+        now = ~settled & (rho_old - rho <= 2.0 * _EPS * rho)
+        gaps[now] = np.ldexp(rho[now], k[now])
+        settled |= now
+        if settled.all():
+            return gaps
         rho_old = rho
         x, y = y, x
-        scale = 1.0 / math.sqrt(yy)
-    raise NotConverged(
-        f"J={j}, gamma={gamma!r}: inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")
+        scale = 1.0 / np.sqrt(yy)
+    raise NotConverged(f"J={j}, gamma={gammas[int(np.argmin(settled))]!r}: "
+                       f"inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")
 
 
 def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
@@ -267,7 +256,6 @@ class CharPoly:
 
 
 _CHARPOLY_TRIDIAG_MAX = 60
-_CHARPOLY_DENSE_MAX = 25
 
 
 def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> CharPoly:
@@ -291,24 +279,6 @@ def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> CharPoly:
         term[: len(p_prev)] -= prod[k - 1] * p_prev
         p_prev, p = p, term
     return CharPoly(p)
-
-
-def charpoly_dense(m: np.ndarray) -> CharPoly:
-    """Characteristic polynomial of a small dense matrix via the
-    Faddeev-LeVerrier trace recursion (conditioning guard: dimension <= 25)."""
-    m = np.asarray(m, dtype=np.longdouble)
-    n = m.shape[0]
-    if n > _CHARPOLY_DENSE_MAX:
-        raise DimensionTooLarge(f"dimension {n} exceeds {_CHARPOLY_DENSE_MAX}")
-    coeffs = np.zeros(n + 1, dtype=np.longdouble)
-    coeffs[n] = 1.0
-    work = np.eye(n, dtype=np.longdouble)
-    for k in range(1, n + 1):
-        work = m @ work
-        c = -np.trace(work) / k
-        coeffs[n - k] = c
-        work = work + c * np.eye(n, dtype=np.longdouble)
-    return CharPoly(coeffs.astype(float))
 
 
 def symmetrize_tridiag(a: GeneralTridiag) -> tuple:
@@ -346,26 +316,10 @@ class GapResult:
 
 
 _DENSE_GAP_MAX_J = 200
-# Up to this J the gap comes from the chain; above it from inverse iteration
-# on the LDL^T factors.  Both are accurate to a few ulps relative.
-_CHAIN_MAX_J = 20000
 
 
-def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
-    """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
-
-    method="tridiag": for J <= 20000 the gap is supercharge_sigma_min squared,
-    one LAPACK dstebz call accurate to a few ulps relative; above that it is
-    the smallest eigenvalue of the size-J gap-sector block by inverse
-    iteration on its relatively accurate LDL^T factors
-    (_gap_inverse_iteration), one dpttrs solve per step, with relative error
-    measured at 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7 (gamma = 0).  Both
-    use O(J) memory.  method="dense" diagonalizes the block densely
-    (J <= 200 only).
-    The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
-    Raises OverflowRisk where the bound, the squared chain or the gap is not
-    finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
-    """
+def _gap_bound(j: SpinJ, gamma: float) -> float:
+    """cosh(2*gamma), after the checks every gap solve makes on (j, gamma)."""
     if not math.isfinite(gamma):
         raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
     if not j.is_integer_spin() or j.two_j < 2:
@@ -379,18 +333,55 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     # intermediates that build them stay below bound * J(J+2).
     if not math.isfinite(bound * jj * (jj + 2.0)):
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the bound or the squared chain overflows")
-    if method == "tridiag":
-        if jj <= _CHAIN_MAX_J:
-            gap = supercharge_sigma_min(j, gamma) ** 2
-        else:
-            gap = _gap_inverse_iteration(j, gamma)
-    elif method == "dense":
-        if jj > _DENSE_GAP_MAX_J:
-            raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
-        gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
-    else:
-        raise MethodUnavailable(f"unknown method {method!r}")
+    return bound
+
+
+def _gap_result(j: SpinJ, gamma: float, gap: float, bound: float) -> GapResult:
     if not math.isfinite(gap):
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the gap is not finite in float64")
     satisfied = gap >= bound - 1e-9 * max(1.0, bound)
     return GapResult(gap=gap, bound=bound, satisfied=satisfied)
+
+
+def spectral_gaps(j: SpinJ, gammas) -> list:
+    """spectral_gap(j, gamma) for each gamma in gammas, as a list of
+    GapResult, bit-identical to the one-gamma calls.
+
+    The cells share J, so they run in batches of _gap_inverse_iteration,
+    each holding at most max(1, 2^16 // J) cells: one cell at a time from
+    J = 2^16 up, so the memory is that of one spectral_gap call.  Every
+    gamma is checked, in order, before any is solved.
+    """
+    gammas = list(gammas)
+    bounds = [_gap_bound(j, g) for g in gammas]
+    gaps = []
+    if gammas:
+        rows = _batch_rows(j.two_j // 2)
+        for s in range(0, len(gammas), rows):
+            gaps += _gap_inverse_iteration(j, gammas[s:s + rows]).tolist()
+    return [_gap_result(j, g, gap, b) for g, gap, b in zip(gammas, gaps, bounds)]
+
+
+def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
+    """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
+
+    method="tridiag" (spectral_gaps with one gamma): the smallest eigenvalue
+    of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
+    block, by inverse iteration on its relatively accurate LDL^T factors
+    (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory.
+    |gap(J, 0) - 1| measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and
+    5.5e-12 at J = 1e7.  method="dense" diagonalizes the block densely
+    (J <= 200 only).
+    The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
+    Raises OverflowRisk where the bound, the squared chain or the gap is not
+    finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
+    """
+    if method == "tridiag":
+        return spectral_gaps(j, [gamma])[0]
+    bound = _gap_bound(j, gamma)
+    if method != "dense":
+        raise MethodUnavailable(f"unknown method {method!r}")
+    if j.two_j // 2 > _DENSE_GAP_MAX_J:
+        raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
+    gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
+    return _gap_result(j, gamma, gap, bound)

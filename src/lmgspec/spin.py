@@ -43,9 +43,11 @@ class SpinJ:
     @classmethod
     def from_j(cls, j) -> "SpinJ":
         """Build from a numeric or string J ("2", "1.5", "3/2" all work)."""
-        frac = Fraction(j) if isinstance(j, str) else Fraction(j).limit_denominator(2)
-        two_j = frac * 2
-        if two_j.denominator != 1:
+        try:
+            two_j = 2 * (Fraction(j) if isinstance(j, str) else Fraction(j).limit_denominator(2))
+        except (ZeroDivisionError, OverflowError):    # "1/0", float inf
+            two_j = None
+        if two_j is None or two_j.denominator != 1:
             raise ValueError(f"j must be integer or half-integer, got {j!r}")
         return cls(int(two_j))
 

@@ -4,13 +4,19 @@ Everything here is built independently of the package internals: complex
 ladder-operator matrices, a Rodrigues-sum Legendre evaluator, and the
 explicit J=2 reference matrices (analytic closed forms over cosh/sinh of
 2*gamma), so that library results are checked against constructions that
-share no code with the implementation.
+share no code with the implementation.  The exceptions are independent
+kernels rather than independent constructions: supercharge_sigma_min
+(LAPACK dstebz) takes the supercharge chain from lmgspec.models, and
+charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+
+from lmgspec import CharPoly, DimensionTooLarge, OverflowRisk, SpinJ, supercharge_chain
 
 
 # ---------------------------------------------------------------- oracles
@@ -47,6 +53,47 @@ def legendre_rodrigues(n: int, x: float) -> float:
     for k in range(n + 1):
         total += math.comb(n, k) ** 2 * (x - 1.0) ** (n - k) * (x + 1.0) ** k
     return total / 2.0**n
+
+
+def supercharge_sigma_min(j: SpinJ, gamma: float) -> float:
+    """Smallest positive singular value of the supercharge's bidiagonal block.
+
+    One LAPACK dstebz bisection for the smallest positive eigenvalue of the
+    zero-diagonal (Golub-Kahan) tridiagonal of size 2J+1 whose off-diagonal is
+    models.supercharge_chain; its eigenvalues are +-sigma_k, plus 0 for
+    integer J.  With the absolute tolerance 2*tiny, bisection returns sigma to
+    high relative accuracy (Demmel & Kahan 1990).  Squared, it is the spectral
+    gap for integer J >= 1 and, for gamma >= 0, the ground energy for
+    half-integer J.  Raises OverflowRisk where the squared chain entries,
+    which dstebz forms, are not finite in float64.
+    """
+    k = j.two_j // 2 + 1
+    chain = supercharge_chain(j, gamma)
+    top = float(np.max(chain, initial=0.0))
+    if not math.isfinite(top * top):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the squared supercharge chain overflows")
+    return float(eigvalsh_tridiagonal(
+        np.zeros(j.dim), chain, select="i", select_range=(k, k),
+        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+    )[0])
+
+
+def charpoly_dense(m: np.ndarray) -> CharPoly:
+    """Characteristic polynomial of a small dense matrix via the
+    Faddeev-LeVerrier trace recursion (conditioning guard: dimension <= 25)."""
+    m = np.asarray(m, dtype=np.longdouble)
+    n = m.shape[0]
+    if n > 25:
+        raise DimensionTooLarge(f"dimension {n} exceeds 25")
+    coeffs = np.zeros(n + 1, dtype=np.longdouble)
+    coeffs[n] = 1.0
+    work = np.eye(n, dtype=np.longdouble)
+    for k in range(1, n + 1):
+        work = m @ work
+        c = -np.trace(work) / k
+        coeffs[n - k] = c
+        work = work + c * np.eye(n, dtype=np.longdouble)
+    return CharPoly(coeffs.astype(float))
 
 
 # ------------------------------------------------- J=2 reference matrices

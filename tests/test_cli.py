@@ -1,11 +1,16 @@
 """End-to-end CLI tests: exit codes, CSV/JSON schemas, determinism, plots."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmgspec import (
     GeneralTridiag,
@@ -80,6 +85,14 @@ class TestSpectrum:
             capsys, "spectrum", "--j", "2", "--gamma", "0.5", "--model", "general",
         )
         assert code == 2 and "error" in err
+
+    def test_general_model_rejects_tol(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "--j", "2", "--gamma", "0.5", "--model", "general",
+            "--xi", "1", "--chi1", "2", "--chi2", "1", "--lambda", "0.7", "--tol", "1e-300",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol") and err.count("\n") == 1
 
     def test_too_large_j_rejected(self, capsys):
         code, _, err = run(capsys, "spectrum", "--j", "500", "--gamma", "0")
@@ -201,6 +214,45 @@ class TestGapScan:
         )
         assert code == 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        j_tokens=st.lists(st.one_of(
+            st.integers(0, 300).map(str),
+            st.integers(0, 300).map(lambda k: f"{2 * k + 1}/2"),
+            st.sampled_from(["1/0", "1/3", "0.3", "-1", "nan", "inf", "2.25", "x5", ""]),
+            st.text(alphabet="abcxyz -+", max_size=4),
+        ), min_size=1, max_size=4),
+        gamma_tokens=st.lists(st.one_of(
+            st.floats(-5.0, 5.0).map(repr),
+            st.floats(-400.0, 400.0).map(repr),
+            st.sampled_from(["1e300", "-1e308", "354.5", "1e309", "nan", "-inf", "abc", ""]),
+            st.text(alphabet="abcxyz -+", max_size=4),
+        ), min_size=1, max_size=5),
+        threads=st.sampled_from([None, "1", "2"]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_any_arguments_end_in_an_exit_code(self, j_tokens, gamma_tokens, threads, fmt):
+        # J stays at most 300 and the garbage has no digits, so no draw asks
+        # for a large solve; --threads is only validated, never a pool size.
+        argv = ["gap-scan", "--j-list=" + ",".join(j_tokens),
+                "--gamma=" + ",".join(gamma_tokens), "--format", fmt]
+        if threads is not None:
+            argv += ["--threads", threads]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        if code == 0 and fmt == "csv":
+            assert "nan" not in out.getvalue()
+
 
 class TestSusyCheck:
     def test_integer_j_passes(self, capsys):
@@ -307,6 +359,16 @@ class TestFlags:
             main(argv + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("j", ["1/0", "abc", "0.3"])
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--j"], ["gap-scan", "--j-list"], ["susy-check", "--j"],
+        ["ground-state", "--j"], ["bench", "--j-list"],
+    ])
+    def test_bad_j_is_one_error_line(self, capsys, command, j):
+        code, out, err = run(capsys, *command, j, "--gamma", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [

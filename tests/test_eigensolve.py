@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import gap_closed_form_j2
+from conftest import charpoly_dense, gap_closed_form_j2, supercharge_sigma_min
 from lmgspec import eigensolve
-from lmgspec.eigensolve import _gap_inverse_iteration
+from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration
 from lmgspec import (
     CharPoly,
     DimensionTooLarge,
@@ -23,7 +23,6 @@ from lmgspec import (
     SymTridiag,
     GeneralTridiag,
     build_susy_rotated,
-    charpoly_dense,
     charpoly_tridiag,
     diagonal_lower_bound,
     eig_dense_symmetric,
@@ -31,7 +30,7 @@ from lmgspec import (
     gap_sector_tridiag,
     h_minus_elements,
     spectral_gap,
-    supercharge_sigma_min,
+    spectral_gaps,
     symmetrize_tridiag,
 )
 
@@ -228,14 +227,14 @@ class TestSpectralGap:
         with pytest.raises(NotIntegerSpin):
             spectral_gap(SpinJ(0), 0.5)
 
-    @pytest.mark.parametrize("two_j", [8, 40002])  # chain, inverse iteration
+    @pytest.mark.parametrize("two_j", [8, 40002])  # one batch row, several rows per batch
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises(self, two_j, gamma):
         with pytest.raises(NonFiniteInput):
             spectral_gap(SpinJ(two_j), gamma)
 
     @pytest.mark.parametrize("jj, gamma", [
-        (5, 354.5),       # the squared chain overflows inside dstebz
+        (5, 354.5),       # the squared chain overflows
         (5, 400.0),       # cosh(2 gamma) overflows
         (10**6, 345.0),   # the squared chain overflows at J = 1e6
     ])
@@ -253,15 +252,15 @@ TWO_KERNEL_GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 30.0, -30.0,
 
 
 class TestGapInverseIteration:
-    """The J > 20000 gap kernel: inverse iteration on relatively accurate
-    LDL^T factors of the gap-sector block."""
+    """The gap kernel: inverse iteration on relatively accurate LDL^T
+    factors of the gap-sector block, checked against the chain oracle."""
 
     @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
     def test_agrees_with_chain_directly(self, g):
         for jj in list(range(1, 41)) + [1000]:
             jv = SpinJ(2 * jj)
             chain = supercharge_sigma_min(jv, g) ** 2
-            assert abs(_gap_inverse_iteration(jv, g) - chain) <= 1e-12 * chain
+            assert abs(_gap_inverse_iteration(jv, [g])[0] - chain) <= 1e-12 * chain
 
     @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
     @pytest.mark.parametrize("jj", [20001, 50000])
@@ -308,7 +307,7 @@ class TestGapInverseIteration:
         jv = SpinJ(2)
         for g in (0.0, 0.4, -2.0):
             expect = math.cosh(2 * g)      # the 1x1 block a_0^2 + b_0^2
-            assert math.isclose(_gap_inverse_iteration(jv, g), expect, rel_tol=4e-16)
+            assert math.isclose(_gap_inverse_iteration(jv, [g])[0], expect, rel_tol=4e-16)
             assert math.isclose(spectral_gap(jv, g).gap, expect, rel_tol=4e-16)
 
     def test_step_cap_raises(self, monkeypatch):
@@ -325,3 +324,58 @@ class TestGapInverseIteration:
             assert math.isfinite(res.gap) and res.gap >= res.bound
         with pytest.raises(OverflowRisk):
             spectral_gap(SpinJ(2 * jj), gamma_max + 1e-3)
+
+
+class TestSpectralGaps:
+    """One batched kernel call per J; every result bit-identical to the
+    one-gamma spectral_gap call."""
+
+    GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 30.0, -30.0, 300.0, -300.0]
+
+    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 20001])
+    def test_bitwise_equal_to_spectral_gap(self, jj):
+        jv = SpinJ(2 * jj)
+        many = spectral_gaps(jv, self.GAMMAS)
+        one = [spectral_gap(jv, g) for g in self.GAMMAS]
+        assert many == one
+        assert [r.gap.hex() for r in many] == [r.gap.hex() for r in one]
+
+    def test_empty_gamma_list(self):
+        assert spectral_gaps(SpinJ(4), []) == []
+
+    def test_overflow_in_a_row_raises_the_per_cell_error(self):
+        jv = SpinJ(10)
+        with pytest.raises(OverflowRisk) as single:
+            spectral_gap(jv, 400.0)
+        with pytest.raises(OverflowRisk) as batch:
+            spectral_gaps(jv, [0.5, 400.0, 1.0])
+        assert str(batch.value) == str(single.value)
+
+    def test_first_error_in_gamma_order(self):
+        jv = SpinJ(10)
+        with pytest.raises(NonFiniteInput):
+            spectral_gaps(jv, [0.5, math.nan, 400.0])
+        with pytest.raises(OverflowRisk):
+            spectral_gaps(jv, [0.5, 400.0, math.nan])
+        with pytest.raises(NotIntegerSpin):
+            spectral_gaps(SpinJ(3), [0.5, 1.0])
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 1)
+        with pytest.raises(NotConverged, match="gamma=0.0"):
+            spectral_gaps(SpinJ(10), [0.0, 0.5])
+
+    def test_large_j_batch_holds_one_cell(self, monkeypatch):
+        # At J = 1e5 a row of the stacked arrays exceeds _LDL_CHUNK doubles,
+        # so each batch is one cell and the memory that of one solve.
+        assert _batch_rows(10**5) == 1 and _batch_rows(1000) == 65
+        sizes = []
+
+        def spy(j, gammas):
+            sizes.append(len(gammas))
+            return _gap_inverse_iteration(j, gammas)
+
+        monkeypatch.setattr(eigensolve, "_gap_inverse_iteration", spy)
+        res = spectral_gaps(SpinJ(2 * 10**5), [0.0, 0.5, -1.0, 2.0])
+        assert sizes == [1, 1, 1, 1]
+        assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)

@@ -35,6 +35,11 @@ class TestSpinJ:
         with pytest.raises(ValueError):
             SpinJ.from_j(bad)
 
+    @pytest.mark.parametrize("bad", ["1/0", math.inf, -math.inf, math.nan])
+    def test_from_j_rejects_unrepresentable(self, bad):
+        with pytest.raises(ValueError):
+            SpinJ.from_j(bad)
+
     def test_rejects_negative_two_j(self):
         with pytest.raises(ValueError):
             SpinJ(-2)
