@@ -492,11 +492,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if [] in vars(args).values():  # argparse stores an explicit "--" value as []
+            raise ConfigError("'--' is not an option value")
         return command(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LmgError as exc:
+    except (ConfigError, LmgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -214,7 +214,7 @@ class TestGapScan:
         )
         assert code == 2
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         j_tokens=st.lists(st.one_of(
             st.integers(0, 300).map(str),
@@ -367,6 +367,17 @@ class TestFlags:
     ])
     def test_bad_j_is_one_error_line(self, capsys, command, j):
         code, out, err = run(capsys, *command, j, "--gamma", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gap-scan", "--j-list=--", "--gamma", "0"],
+        ["gap-scan", "--j-list", "2", "--gamma=--"],
+        ["spectrum", "--j", "2", "--gamma-min=--", "--gamma-max", "1"],
+        ["susy-check", "--j=--", "--gamma", "0"],
+    ])
+    def test_double_dash_value_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
