@@ -5,8 +5,8 @@ only the flags its cmd_* function reads.  Output is CSV (default) or JSON,
 written to stdout or --out; floats are formatted as shortest round-trip
 decimals so repeated runs are byte-identical.  Grid cells run serially in
 grid order: the LAPACK calls hold the GIL, so a thread pool bought nothing.
---threads (or LMG_THREADS) is still validated where it is accepted.
-gap-scan solves each J's whole gamma row in one spectral_gaps call.
+gap-scan still accepts --threads and rejects values below 1, but reads it no
+further; it solves each J's whole gamma row in one spectral_gaps call.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
 (susy.verify_superalgebra_bands) and classifies the dense spectrum of H.
@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 import tracemalloc
@@ -32,8 +31,8 @@ import numpy as np
 from .eigensolve import charpoly_tridiag, eig_dense_symmetric, spectral_gap, spectral_gaps
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
-from .models import HnBlocks, ModelParams, build_lmg_general, build_susy_rotated, \
-    extract_hn_blocks, build_nonhermitian, h_minus_elements
+from .models import HnBlocks, ModelParams, _general_from_dense, build_lmg_general, \
+    build_susy_rotated, extract_hn_blocks, build_nonhermitian, h_minus_elements
 from .tridiag import GeneralTridiag
 from .spin import SpinJ
 from .susy import classify_spectrum, verify_superalgebra_bands
@@ -102,28 +101,6 @@ def gamma_grid(args) -> list:
     if not all(math.isfinite(g) for g in (hi, *grid)):
         raise ConfigError("--gamma-min/--gamma-max: the gamma grid is not finite")
     return grid
-
-
-def thread_count(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    elif os.environ.get("LMG_THREADS"):
-        text = os.environ["LMG_THREADS"]
-        try:
-            n = int(text)
-        except ValueError:
-            raise ConfigError(f"LMG_THREADS: not an integer: {text!r}") from None
-    else:
-        n = os.cpu_count() or 1
-    if n < 1:
-        raise ConfigError("thread count must be >= 1")
-    return n
-
-
-def map_cells(fn, cells, args) -> list:
-    """fn over the grid cells in order, after validating the thread count."""
-    thread_count(args)
-    return [fn(c) for c in cells]
 
 
 def write_output(text: str, out_path) -> None:
@@ -196,10 +173,7 @@ def cmd_spectrum(args) -> int:
         missing = [f for f in ("xi", "chi1", "chi2", "lam") if getattr(args, f) is None]
         if missing:
             raise ConfigError("general model requires --xi --chi1 --chi2 --lambda")
-        params = ModelParams(
-            xi=args.xi, chi1=args.chi1, chi2=args.chi2, lam=args.lam,
-            omega0=math.nan, gamma=math.nan,
-        )
+        params = ModelParams(xi=args.xi, chi1=args.chi1, chi2=args.chi2, lam=args.lam)
     for jv in j_values:
         if jv.dim > DENSE_DIM_LIMIT:
             raise ConfigError(f"J={jv} exceeds the dense-oracle limit (dim <= {DENSE_DIM_LIMIT})")
@@ -219,7 +193,7 @@ def cmd_spectrum(args) -> int:
         return [(str(jv), g, i, float(e), None, None) for i, e in enumerate(eigs)]
 
     cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = [r for chunk in map_cells(run_cell, cells, args) for r in chunk]
+    rows = [r for cell in cells for r in run_cell(cell)]
     config = {
         "command": "spectrum", "j": [str(j) for j in j_values], "gamma": gammas,
         "model": args.model, "tol": tol if args.model == "susy" else None,
@@ -242,7 +216,8 @@ GAP_HEADER = ["j", "gamma", "gap", "bound", "satisfied"]
 def cmd_gap_scan(args) -> int:
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
-    thread_count(args)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     rows = []
     for jv in j_values:
         try:
@@ -284,9 +259,7 @@ def charpoly_residual(hn: np.ndarray, blocks: HnBlocks) -> float:
             gamma_sub=np.ldexp(t.gamma_sub, -k),
         ))
 
-    lhs = scaled_charpoly(GeneralTridiag(
-        alpha=np.diag(hn), beta=-np.diag(hn, 1), gamma_sub=np.diag(hn, -1),
-    ))
+    lhs = scaled_charpoly(_general_from_dense(hn))
     rhs = (scaled_charpoly(blocks.h_plus) * scaled_charpoly(blocks.h_minus)).times_lambda()
     scale = np.maximum(1.0, np.abs(rhs.coeffs))
     return float(np.max(np.abs(lhs.coeffs - rhs.coeffs) / scale))
@@ -315,12 +288,8 @@ def cmd_susy_check(args) -> int:
             blocks = extract_hn_blocks(hn, jv)
             resid = charpoly_residual(hn, blocks)
             checks.append(("charpoly_factorization", resid <= 1e-8, resid))
-            perm_ok = (
-                np.array_equal(blocks.h_plus.reversed_conjugate().alpha, blocks.h_minus.alpha)
-                and np.allclose(
-                    blocks.h_plus.reversed_conjugate().to_dense(),
-                    blocks.h_minus.to_dense(), rtol=0, atol=0,
-                )
+            perm_ok = np.array_equal(
+                blocks.h_plus.reversed_conjugate().to_dense(), blocks.h_minus.to_dense(),
             )
             checks.append(("h_plus_minus_permutation_equivalent", perm_ok, 0.0))
             direct = h_minus_elements(jv, g)
@@ -414,7 +383,7 @@ def cmd_bench(args) -> int:
         return (str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem)
 
     cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = map_cells(run_cell, cells, args)
+    rows = [run_cell(cell) for cell in cells]
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}
     if args.format == "json":
         text = render_json(config, BENCH_HEADER, rows, {"n_rows": len(rows)})
@@ -430,8 +399,6 @@ def cmd_bench(args) -> int:
 _OPTIONAL_FLAGS = {
     "emit-plot": dict(help="write a gnuplot script referencing the CSV"),
     "tol": dict(type=float, help="pairing tolerance (default 1e-8)"),
-    "threads": dict(type=int,
-                    help="thread count (env LMG_THREADS); validated, but fan-out is serial"),
 }
 
 
@@ -467,11 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi1", type=float)
     p.add_argument("--chi2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
-    _add_common(p, "emit-plot", "tol", "threads")
+    _add_common(p, "emit-plot", "tol")
 
     p = sub.add_parser("gap-scan", help="spectral gap vs analytic bound")
     p.add_argument("--j-list", required=True)
-    _add_common(p, "emit-plot", "threads")
+    p.add_argument("--threads", type=int, help="validated (>= 1); cells run serially")
+    _add_common(p, "emit-plot")
 
     p = sub.add_parser("susy-check", help="verify supersymmetric structure")
     p.add_argument("--j", required=True)
@@ -483,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the large-J gap path")
     p.add_argument("--j-list", required=True)
-    _add_common(p, "threads")
+    _add_common(p)
 
     return parser
 

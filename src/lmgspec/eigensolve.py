@@ -7,8 +7,9 @@
   measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7.
   The cells of one J run as one batch: their factors are stacked into one
   block-diagonal matrix, so each step is one LAPACK dpttrs solve for all.
-* The smallest eigenvalue of a symmetric tridiagonal by dpttrf bisection
-  (eig_symtridiag), absolute error ~eps*||t||; no longer on the gap path.
+* The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
+  call (eig_symtridiag), absolute error a few ulps of ||t||; no longer on
+  the gap path.
 * A dense symmetric oracle (LAPACK eigvalsh) for desk-scale cross-checks.
 * Characteristic polynomials by a three-term recurrence for tridiagonal
   matrices, used to verify the determinant factorization of the
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrs, dtbtrs
 
 from .errors import (
     DimensionTooLarge,
@@ -55,56 +57,21 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-def _guard_scale(t: SymTridiag) -> float:
-    hi = max(
-        float(np.max(np.abs(t.diag))) if t.n else 0.0,
-        float(np.max(np.abs(t.off))) if t.n > 1 else 0.0,
-    )
-    return _EPS * max(1.0, hi)
-
-
-def _gershgorin(t: SymTridiag) -> tuple:
-    radius = np.zeros(t.n)
-    if t.n > 1:
-        a = np.abs(t.off)
-        radius[:-1] += a
-        radius[1:] += a
-    lo = float(np.min(t.diag - radius))
-    hi = float(np.max(t.diag + radius))
-    return lo, hi
-
-
-_BISECT_ABS_TOL = 1e-12
-
-
 def eig_symtridiag(t: SymTridiag) -> np.ndarray:
     """Smallest eigenvalue of a symmetric tridiagonal matrix, as a length-1
-    array (empty for an empty matrix).
+    array (empty for an empty matrix, NaN for a non-finite entry).
 
-    Bisection from the Gershgorin bounds.  Each step asks LAPACK dpttrf whether
-    t - x*I is positive definite: dpttrf runs the LDL^T pivot recurrence of a
-    Sturm count and reports a nonzero info at the first pivot <= 0.  The
-    bracket stops at width 1e-12 or a few ulps of its ends, so the absolute
-    error is ~eps*||t||.  O(n) workspace beyond the two input arrays; a
-    block with a non-finite Gershgorin bound returns NaN.
+    One LAPACK dstebz bisection with the absolute tolerance 2*tiny, its most
+    accurate setting: the error is a few ulps of ||t||.  scipy's default
+    tolerance leaves 2.2e-12 relative at J = 20000, gamma = 0.5 on the gap
+    sector block.  No longer on the gap path.
     """
     if t.n == 0:
         return np.empty(0)
-    lo, hi = _gershgorin(t)
-    hi = hi + _guard_scale(t)  # ensure hi is above the spectrum
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (np.isfinite(t.diag).all() and np.isfinite(t.off).all()):
         return np.array([math.nan])
-    shifted = np.empty(t.n)
-    while hi - lo > max(_BISECT_ABS_TOL, 4.0 * _EPS * max(abs(lo), abs(hi))):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # interval no longer splittable in floats
-            break
-        np.subtract(t.diag, mid, out=shifted)
-        if dpttrf(shifted, t.off, overwrite_d=1)[2] != 0:
-            hi = mid
-        else:
-            lo = mid
-    return np.array([0.5 * (lo + hi)])
+    return eigvalsh_tridiagonal(t.diag, t.off, select="i", select_range=(0, 0),
+                                tol=2.0 * np.finfo(float).tiny)
 
 
 _LDL_CHUNK = 1 << 16

@@ -40,6 +40,13 @@ def _ldexp(p: float, e: int, what: str) -> float:
     return math.ldexp(p, e)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||, with x first scaled by the exact power of two that puts max|x|
+    in [1/2, 1), so that no square overflows before the norm does."""
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -k))), k)
+
+
 def legendre_p(n: int, x: float) -> float:
     """Legendre polynomial P_n(x) by the Bonnet loop, kept finite wherever it is."""
     return _ldexp(*_bonnet(n, x), f"P_{n}({x!r})")
@@ -114,7 +121,7 @@ def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundSta
             diag, lower, upper = math.cosh(gamma) * m, -w, w
         amps = amps / np.linalg.norm(amps)
         h_amps = _tridiag_apply(_tridiag_apply(amps, diag, lower, upper), diag, upper, lower)
-        resid = _ldexp(float(np.linalg.norm(h_amps)), 0, "the residual")
+        resid = _ldexp(_norm(h_amps), 0, "the residual")
     except OverflowError:  # cosh, sinh or exp of gamma
         raise OverflowRisk(f"J={jj}, gamma={gamma!r} is out of the float64 range") from None
     return GroundState(

@@ -58,19 +58,13 @@ def params_from_chi(chi1: float, chi2: float) -> tuple:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """LMG couplings (xi, chi1, chi2, lam) and derived scales (omega0, gamma)."""
+    """LMG couplings (xi, chi1, chi2, lam); params_from_chi gives their
+    (omega0, gamma)."""
 
     xi: float
     chi1: float
     chi2: float
     lam: float
-    omega0: float
-    gamma: float
-
-    @classmethod
-    def from_chi(cls, chi1: float, chi2: float, lam: float = 1.0, xi: float = 1.0) -> "ModelParams":
-        omega0, gamma = params_from_chi(chi1, chi2)
-        return cls(xi=xi, chi1=chi1, chi2=chi2, lam=lam, omega0=omega0, gamma=gamma)
 
     @classmethod
     def from_gamma(
@@ -81,8 +75,6 @@ class ModelParams:
             chi1=omega0 * math.cosh(gamma),
             chi2=omega0 * math.sinh(gamma),
             lam=lam,
-            omega0=omega0,
-            gamma=gamma,
         )
 
 

@@ -3,7 +3,7 @@
 Two layouts appear in the model:
 
 * ``SymTridiag`` — real symmetric tridiagonal; the parity blocks of the
-  rotated Hamiltonian and the input of the Sturm-sequence eigensolver.
+  rotated Hamiltonian and the input of eig_symtridiag (LAPACK dstebz).
 * ``GeneralTridiag`` — real tridiagonal with independently signed
   sub/superdiagonals.  Sign convention: the superdiagonal is stored negated
   (entry (k, k+1) = -beta[k]) and the subdiagonal directly
@@ -75,19 +75,4 @@ class GeneralTridiag:
             alpha=self.alpha[::-1].copy(),
             beta=-self.gamma_sub[::-1].copy(),
             gamma_sub=-self.beta[::-1].copy(),
-        )
-
-    def sign_canonical(self) -> "GeneralTridiag":
-        """Conjugate by diag(+1,-1,+1,...) where needed so that beta >= 0.
-
-        Flipping the sign of basis vector k+1 negates both off-diagonal
-        entries at position k; off-diagonal products and the spectrum are
-        unchanged.
-        """
-        signs = np.ones(self.n)
-        for k in range(self.n - 1):
-            signs[k + 1] = -signs[k] if self.beta[k] < 0 else signs[k]
-        scale = signs[:-1] * signs[1:]
-        return GeneralTridiag(
-            alpha=self.alpha.copy(), beta=self.beta * scale, gamma_sub=self.gamma_sub * scale
         )

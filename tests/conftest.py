@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from lmgspec import CharPoly, DimensionTooLarge, OverflowRisk, SpinJ, supercharge_chain
+from lmgspec import (
+    CharPoly,
+    DimensionTooLarge,
+    GeneralTridiag,
+    OverflowRisk,
+    SpinJ,
+    supercharge_chain,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -94,6 +101,19 @@ def charpoly_dense(m: np.ndarray) -> CharPoly:
         coeffs[n - k] = c
         work = work + c * np.eye(n, dtype=np.longdouble)
     return CharPoly(coeffs.astype(float))
+
+
+def sign_canonical(g: GeneralTridiag) -> GeneralTridiag:
+    """g conjugated by diag(+1,-1,+1,...) where needed so that beta >= 0.
+
+    Flipping the sign of basis vector k+1 negates both off-diagonal entries
+    at position k; off-diagonal products and the spectrum are unchanged.
+    """
+    signs = np.ones(g.n)
+    for k in range(g.n - 1):
+        signs[k + 1] = -signs[k] if g.beta[k] < 0 else signs[k]
+    scale = signs[:-1] * signs[1:]
+    return GeneralTridiag(alpha=g.alpha.copy(), beta=g.beta * scale, gamma_sub=g.gamma_sub * scale)
 
 
 # ------------------------------------------------- J=2 reference matrices

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import charpoly_dense, gap_closed_form_j2, supercharge_sigma_min
+from conftest import charpoly_dense, gap_closed_form_j2, sign_canonical, supercharge_sigma_min
 from lmgspec import eigensolve
 from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration
 from lmgspec import (
@@ -58,6 +58,15 @@ class TestEigSymtridiag:
                       SymTridiag(diag=[1.0, 1.5, 2.0], off=[bad, 0.5])):
                 assert math.isnan(eig_symtridiag(t)[0])
 
+    @pytest.mark.parametrize("g", [0.5, -1.0])
+    def test_relative_accuracy_on_gap_block(self, g):
+        # dstebz at its finest tolerance (2*tiny) resolves the gap of the
+        # formed block to a few ulps; scipy's default tol leaves 2.2e-12 here.
+        jv = SpinJ.from_j("20000")
+        got = eig_symtridiag(gap_sector_tridiag(jv, g))[0]
+        ref = spectral_gap(jv, g).gap
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * ref
+
 
 class TestSuperchargeSigmaMin:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -79,8 +88,8 @@ class TestSuperchargeSigmaMin:
 
     @pytest.mark.parametrize("g", [-1.0, 0.5, 2.0])
     def test_agrees_with_bisection_at_large_j(self, g):
-        # Two kernels on two matrices: the chain's dstebz and the gap-sector
-        # block's dpttrf bisection, whose error is ~eps*||T||.
+        # One kernel on two matrices: dstebz on the chain's Golub-Kahan form
+        # and on the formed gap-sector block, whose error is ~eps*||T||.
         jv = SpinJ(40000)
         t = gap_sector_tridiag(jv, g)
         norm = np.max(np.abs(t.diag) + np.abs(np.r_[t.off, 0.0]) + np.abs(np.r_[0.0, t.off]))
@@ -143,7 +152,7 @@ class TestSymmetrize:
     def _balanced_h_minus(self, two_j, g):
         """Sign-split H- brought to symmetrizable orientation."""
         hm = h_minus_elements(SpinJ(two_j), g)
-        return hm.sign_canonical() if np.any(hm.beta < 0) else hm
+        return sign_canonical(hm) if np.any(hm.beta < 0) else hm
 
     @pytest.mark.parametrize("g", [0.5, -0.5, 1.2])
     def test_similarity_identity(self, g):

@@ -49,9 +49,9 @@ class TestParams:
 
     def test_from_gamma_inverts_from_chi(self):
         p = ModelParams.from_gamma(0.8, omega0=1.3)
-        q = ModelParams.from_chi(p.chi1, p.chi2)
-        assert math.isclose(q.gamma, 0.8, rel_tol=1e-12)
-        assert math.isclose(q.omega0, 1.3, rel_tol=1e-12)
+        omega0, gamma = params_from_chi(p.chi1, p.chi2)
+        assert math.isclose(gamma, 0.8, rel_tol=1e-12)
+        assert math.isclose(omega0, 1.3, rel_tol=1e-12)
 
     def test_susy_point(self):
         # from_gamma defaults to the SUSY point lambda = 1
