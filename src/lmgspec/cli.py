@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: spectrum, gap-scan, susy-check, ground-state, bench; each takes
-only the flags its cmd_* function reads.  Output is CSV (default) or JSON,
-written to stdout or --out; floats are formatted as shortest round-trip
-decimals so repeated runs are byte-identical.  Grid cells run serially in
-grid order: the LAPACK calls hold the GIL, so a thread pool bought nothing.
-gap-scan still accepts --threads and rejects values below 1, but reads it no
-further; it solves each J's whole gamma row in one spectral_gaps call.
+only the flags its cmd_* function reads.  Every table goes through emit, as
+CSV (default) or JSON, to stdout or --out; floats are formatted as shortest
+round-trip decimals so repeated runs are byte-identical.  Grid cells run
+serially in grid order.  gap-scan accepts --threads and rejects values below
+1, but reads it no further; it solves each J's whole gamma row in one
+spectral_gaps call.  spectrum --model general reads no gamma: it
+diagonalizes once per J and repeats the levels for every gamma.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
-(susy.verify_superalgebra_bands) and classifies the dense spectrum of H.
-The parser is built once per process; main dispatches to cmd_<command> by
-name at call time, so a replaced cmd_* function is the one that runs.
+(susy.verify_superalgebra_bands) and classifies the dense spectrum of H, so
+it stops at J = 2000.  The parser is built once per process; main
+dispatches to cmd_<command> by name at call time, so a replaced cmd_*
+function is the one that runs.
 
 Exit status: 0 = success, 1 = verification failure, 2 = usage/config error.
 """
@@ -38,6 +40,7 @@ from .spin import SpinJ
 from .susy import classify_spectrum, verify_superalgebra_bands
 
 DENSE_DIM_LIMIT = 401           # dense-oracle guard (J <= 200)
+SUSY_CHECK_DIM_LIMIT = 4001     # dense H of susy-check (J <= 2000)
 SUSY_CHECK_CHARPOLY_MAX_J = 12
 
 
@@ -103,30 +106,25 @@ def gamma_grid(args) -> list:
     return grid
 
 
-def write_output(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
+def write(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def render_csv(header: list, rows: list, comments: list = ()) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    for comment in comments:
-        lines.append(f"# {comment}")
-    return "\n".join(lines) + "\n"
-
-
-def render_json(config: dict, header: list, rows: list, summary: dict) -> str:
-    payload = {
-        "config": config,
-        "rows": [dict(zip(header, row)) for row in rows],
-        "summary": summary,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def emit(args, config: dict, header: list, rows: list, summary: dict, comments=(), **extra):
+    """The rows as CSV, with comments as trailing '# ' lines, or as one JSON
+    object of config, rows keyed by header, summary and any extra keys."""
+    if args.format == "json":
+        payload = dict(config=config, rows=[dict(zip(header, r)) for r in rows],
+                       summary=summary, **extra)
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+        text = "\n".join(lines + [f"# {c}" for c in comments])
+    write(args, text + "\n")
 
 
 def emit_plot_script(path: str, command: str, csv_path, j_values) -> None:
@@ -163,6 +161,12 @@ def emit_plot_script(path: str, command: str, csv_path, j_values) -> None:
 SPECTRUM_HEADER = ["j", "gamma", "level_index", "eigenvalue", "pair_id", "is_zero_mode"]
 
 
+def susy_levels(jv: SpinJ, g: float, tol: float):
+    """The dense spectrum of the rotated SUSY H and its classification."""
+    eigs = eig_dense_symmetric(build_susy_rotated(jv, g))
+    return eigs, classify_spectrum(eigs, jv, tol=tol)
+
+
 def cmd_spectrum(args) -> int:
     j_values = parse_j_values(args.j)
     gammas = gamma_grid(args)
@@ -170,39 +174,29 @@ def cmd_spectrum(args) -> int:
     if args.model == "general":
         if args.tol is not None:
             raise ConfigError("--tol: --model general classifies no pairs and reads no tolerance")
-        missing = [f for f in ("xi", "chi1", "chi2", "lam") if getattr(args, f) is None]
-        if missing:
+        if any(getattr(args, f) is None for f in ("xi", "chi1", "chi2", "lam")):
             raise ConfigError("general model requires --xi --chi1 --chi2 --lambda")
         params = ModelParams(xi=args.xi, chi1=args.chi1, chi2=args.chi2, lam=args.lam)
     for jv in j_values:
         if jv.dim > DENSE_DIM_LIMIT:
             raise ConfigError(f"J={jv} exceeds the dense-oracle limit (dim <= {DENSE_DIM_LIMIT})")
-
-    def run_cell(cell):
-        jv, g = cell
-        if args.model == "susy":
-            h = build_susy_rotated(jv, g)
-            eigs = eig_dense_symmetric(h)
-            report = classify_spectrum(eigs, jv, tol=tol)
-            return [
-                (str(jv), g, i, float(e), p if p >= 0 else -1, p == -1)
-                for i, (e, p) in enumerate(zip(eigs, report.pair_index))
-            ]
-        h = build_lmg_general(jv, params)
-        eigs = eig_dense_symmetric(h)
-        return [(str(jv), g, i, float(e), None, None) for i, e in enumerate(eigs)]
-
-    cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = [r for cell in cells for r in run_cell(cell)]
+    rows = []
+    for jv in j_values:
+        if args.model == "general":
+            # The general model reads no gamma, so one spectrum serves every gamma.
+            eigs = eig_dense_symmetric(build_lmg_general(jv, params))
+            rows += [(str(jv), g, i, float(e), None, None) for g in gammas
+                     for i, e in enumerate(eigs)]
+            continue
+        for g in gammas:
+            eigs, report = susy_levels(jv, g, tol)
+            rows += [(str(jv), g, i, float(e), p if p >= 0 else -1, p == -1)
+                     for i, (e, p) in enumerate(zip(eigs, report.pair_index))]
     config = {
         "command": "spectrum", "j": [str(j) for j in j_values], "gamma": gammas,
         "model": args.model, "tol": tol if args.model == "susy" else None,
     }
-    if args.format == "json":
-        text = render_json(config, SPECTRUM_HEADER, rows, {"n_rows": len(rows)})
-    else:
-        text = render_csv(SPECTRUM_HEADER, rows)
-    write_output(text, args.out)
+    emit(args, config, SPECTRUM_HEADER, rows, {"n_rows": len(rows)})
     if args.emit_plot:
         emit_plot_script(args.emit_plot, "spectrum", args.out, j_values)
     return 0
@@ -228,12 +222,7 @@ def cmd_gap_scan(args) -> int:
             rows += [(str(jv), g, r.gap, r.bound, r.satisfied) for g, r in zip(gammas, results)]
     n_err = sum(1 for r in rows if r[4] == "error")
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
-    summary = {"n_rows": len(rows), "n_errors": n_err}
-    if args.format == "json":
-        text = render_json(config, GAP_HEADER, rows, summary)
-    else:
-        text = render_csv(GAP_HEADER, rows)
-    write_output(text, args.out)
+    emit(args, config, GAP_HEADER, rows, {"n_rows": len(rows), "n_errors": n_err})
     if args.emit_plot:
         emit_plot_script(args.emit_plot, "gap-scan", args.out, j_values)
     return 1 if rows and n_err == len(rows) else 0
@@ -269,20 +258,16 @@ def cmd_susy_check(args) -> int:
     jv = parse_j(args.j)
     g = parse_gamma(args.gamma_value)
     tol = check_tol(args.tol)
+    if jv.dim > SUSY_CHECK_DIM_LIMIT:
+        raise ConfigError(f"J={jv} exceeds the susy-check limit (dim <= {SUSY_CHECK_DIM_LIMIT})")
+    _, report = susy_levels(jv, g, tol)
     checks = []        # (name, passed, detail)
-
-    h_dense = build_susy_rotated(jv, g)
-    eigs = eig_dense_symmetric(h_dense)
-    report = classify_spectrum(eigs, jv, tol=tol)
-
     if jv.is_integer_spin():
         res = verify_superalgebra_bands(jv, g)
         bound = 1e-10 * max(1.0, res.h_norm)
-        checks.append(("superalgebra_q1_sq", res.r_q1_sq <= bound, res.r_q1_sq))
-        checks.append(("superalgebra_q2_sq", res.r_q2_sq <= bound, res.r_q2_sq))
-        checks.append(("superalgebra_anticommutator", res.r_anti <= bound, res.r_anti))
-        checks.append(("superalgebra_commutators", res.r_comm <= bound, res.r_comm))
-
+        for name, r in (("q1_sq", res.r_q1_sq), ("q2_sq", res.r_q2_sq),
+                        ("anticommutator", res.r_anti), ("commutators", res.r_comm)):
+            checks.append(("superalgebra_" + name, r <= bound, r))
         if jv.two_j // 2 <= SUSY_CHECK_CHARPOLY_MAX_J and jv.two_j >= 2:
             hn = build_nonhermitian(jv, g)
             blocks = extract_hn_blocks(hn, jv)
@@ -303,22 +288,13 @@ def cmd_susy_check(args) -> int:
 
     all_pass = all(ok for _, ok, _ in checks)
     if args.format == "json":
-        payload = {
-            "config": {"command": "susy-check", "j": str(jv), "gamma": g},
-            "rows": [
-                {"check": name, "passed": bool(ok), "detail": fmt(detail)}
-                for name, ok, detail in checks
-            ],
-            "summary": {"verdict": report.verdict, "all_passed": all_pass},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        emit(args, {"command": "susy-check", "j": str(jv), "gamma": g},
+             ["check", "passed", "detail"], [(n, bool(ok), fmt(d)) for n, ok, d in checks],
+             {"verdict": report.verdict, "all_passed": all_pass})
     else:
         lines = [f"susy-check J={jv} gamma={fmt(g)}"]
-        for name, ok, detail in checks:
-            lines.append(f"  {'PASS' if ok else 'FAIL'}  {name}  {fmt(detail)}")
-        lines.append(f"verdict: {report.verdict}")
-        text = "\n".join(lines) + "\n"
-    write_output(text, args.out)
+        lines += [f"  {'PASS' if ok else 'FAIL'}  {n}  {fmt(d)}" for n, ok, d in checks]
+        write(args, "\n".join(lines + [f"verdict: {report.verdict}"]) + "\n")
     return 0 if all_pass else 1
 
 
@@ -338,19 +314,9 @@ def cmd_ground_state(args) -> int:
         "norm_legendre": state.norm_legendre,
         "energy_residual": state.energy_residual,
     }
-    config = {"command": "ground-state", "j": str(jv), "gamma": g}
-    if args.format == "json":
-        payload = {
-            "config": config,
-            "rows": [{"m": m, "amplitude": a} for m, a in rows],
-            "summary": summary,
-            "amplitudes": [float(a) for a in state.amplitudes],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        comments = [f"{k}={fmt(v)}" for k, v in summary.items()]
-        text = render_csv(GROUND_HEADER, rows, comments)
-    write_output(text, args.out)
+    emit(args, {"command": "ground-state", "j": str(jv), "gamma": g}, GROUND_HEADER, rows,
+         summary, [f"{k}={fmt(v)}" for k, v in summary.items()],
+         amplitudes=[a for _, a in rows])
     return 0
 
 
@@ -361,35 +327,29 @@ BENCH_HEADER = ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes
 
 def cmd_bench(args) -> int:
     """Per cell: the solve's wall time and its tracemalloc peak in bytes,
-    above what was already traced when the solve began."""
+    above what was already traced when the solve began.  tracemalloc runs
+    once for the whole grid, unless the caller already traces."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
-
-    def run_cell(cell):
-        jv, g = cell
-        tracing = tracemalloc.is_tracing()
+    rows = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for jv in j_values:
+            for g in gammas:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                start = time.perf_counter()
+                res = spectral_gap(jv, g, method="tridiag")
+                elapsed = time.perf_counter() - start
+                mem = tracemalloc.get_traced_memory()[1] - base
+                rows.append((str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem))
+    finally:
         if not tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        start = time.perf_counter()
-        try:
-            res = spectral_gap(jv, g, method="tridiag")
-            elapsed = time.perf_counter() - start
-            mem = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        return (str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem)
-
-    cells = [(jv, g) for jv in j_values for g in gammas]
-    rows = [run_cell(cell) for cell in cells]
+            tracemalloc.stop()
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}
-    if args.format == "json":
-        text = render_json(config, BENCH_HEADER, rows, {"n_rows": len(rows)})
-    else:
-        text = render_csv(BENCH_HEADER, rows)
-    write_output(text, args.out)
+    emit(args, config, BENCH_HEADER, rows, {"n_rows": len(rows)})
     return 0
 
 

@@ -8,8 +8,7 @@
   The cells of one J run as one batch: their factors are stacked into one
   block-diagonal matrix, so each step is one LAPACK dpttrs solve for all.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
-  call (eig_symtridiag), absolute error a few ulps of ||t||; no longer on
-  the gap path.
+  call (eig_symtridiag), absolute error a few ulps of ||t||.
 * A dense symmetric oracle (LAPACK eigvalsh) for desk-scale cross-checks.
 * Characteristic polynomials by a three-term recurrence for tridiagonal
   matrices, used to verify the determinant factorization of the
@@ -195,7 +194,7 @@ def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    return np.sort(np.linalg.eigvalsh(0.5 * (m + m.T)))
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,17 @@ class ModelParams:
 
 
 def build_lmg_general(j: SpinJ, p: ModelParams) -> np.ndarray:
-    """General LMG Hamiltonian xi*(chi1^2 Jz^2 + chi2^2 Jy^2 + lam chi1 chi2 Jx)."""
+    """General LMG Hamiltonian xi*(chi1^2 Jz^2 + chi2^2 Jy^2 + lam chi1 chi2 Jx).
+
+    Raises OverflowRisk unless 8 (1 + |xi|) (chi1^2 + chi2^2 +
+    |lam chi1 chi2|) J(J+1), which bounds 8x every entry before and after
+    the scaling by xi, is finite: a NaN or infinite coupling fails it too.
+    """
+    jj = j.two_j / 2.0
+    bound = 8.0 * (1.0 + abs(p.xi)) * (
+        p.chi1 * p.chi1 + p.chi2 * p.chi2 + abs(p.lam * p.chi1 * p.chi2))
+    if not math.isfinite(bound * jj * (jj + 1.0)):
+        raise OverflowRisk(f"J={j}, {p}: the Hamiltonian's entries are not finite in float64")
     s = build_spin_operators(j)
     jy2 = -(s.ky @ s.ky)
     return p.xi * (
@@ -230,17 +240,11 @@ def susy_sector_blocks(j: SpinJ, gamma: float) -> tuple:
 
 
 def gap_sector_tridiag(j: SpinJ, gamma: float) -> SymTridiag:
-    """O(J)-memory construction of the gap sector block only.
-
-    The gap sector is {m = -J+1, -J+3, ..., J-1}, size J, for every integer
-    J >= 1; built vectorized without materializing any dense operator.
-    """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("gap sector needs integer J")
-    jj = j.two_j // 2
-    if jj < 1:
+    """The gap sector block of susy_sector_blocks, {m = -J+1, ..., J-1}: size
+    J, for integer J >= 1."""
+    if j.two_j < 2:
         raise NotIntegerSpin("gap sector needs J >= 1")
-    return _sym_block(j, gamma, np.arange(-jj + 1, jj, 2, dtype=float))
+    return susy_sector_blocks(j, gamma)[1]
 
 
 def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.ndarray:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from lmgspec import (
     GeneralTridiag,
+    LmgError,
     SpinJ,
     build_nonhermitian,
     build_susy_rotated,
@@ -54,6 +56,41 @@ def csv_rows(text):
     lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     return header, [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def counting(monkeypatch, name):
+    """Replace cli.<name> with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(1) or inner(*a, **k))
+    return calls
+
+
+# Tokens for the argument fuzz tests; the garbage has no digits, so no draw
+# asks for a large solve.
+GARBAGE = st.text(alphabet="abcxyz -+", max_size=4)
+SMALL_J_TOKEN = st.one_of(
+    st.integers(0, 5).map(str),
+    st.integers(0, 4).map(lambda k: f"{2 * k + 1}/2"),
+    st.sampled_from(["1/0", "1/3", "0.3", "-1", "nan", "inf", "2.25", "x5", ""]),
+    GARBAGE,
+)
+GAMMA_TOKEN = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.floats(-400.0, 400.0).map(repr),
+    st.sampled_from(["1e300", "-1e308", "354.5", "1e309", "nan", "-inf", "abc", ""]),
+    GARBAGE,
+)
+# Values argparse reads as a float (so each draw reaches the command).
+FLOAT_TOKEN = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.sampled_from(["0", "1e154", "-1e200", "1e300", "1e309", "nan", "-inf", "1e-320"]),
+)
+
+
+def assert_no_silent_nan(code, out):
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
 class TestSpectrum:
@@ -98,6 +135,56 @@ class TestSpectrum:
         _, rows = csv_rows(out)
         assert len(rows) == 5
         assert rows[0]["pair_id"] == ""  # no SUSY pairing claimed
+
+    def test_general_model_diagonalizes_once_per_j(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "eig_dense_symmetric")
+        argv = ["spectrum", "--j", "2,3", "--gamma-min", "0", "--gamma-max", "1",
+                "--steps", "5", "--model", "general",
+                "--xi", "1", "--chi1", "2", "--chi2", "1", "--lambda", "0.7"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 2
+        _, rows = csv_rows(out)
+        assert len(rows) == 5 * (5 + 7)
+        for jj in ("2", "3"):
+            levels = [[r["eigenvalue"] for r in rows if r["j"] == jj and r["gamma"] == g]
+                      for g in {r["gamma"] for r in rows}]
+            assert all(l == levels[0] for l in levels)  # gamma is not read
+
+    @pytest.mark.parametrize("params", [
+        ["--xi=nan", "--chi1=2"], ["--xi=1", "--chi1=1e200"], ["--xi=1e300", "--chi1=1e10"],
+    ])
+    def test_general_model_non_finite_entries_is_one_error_line(self, capsys, params):
+        code, out, err = run(
+            capsys, "spectrum", "--j", "2", "--gamma", "0.5", "--model", "general",
+            "--chi2", "1", "--lambda", "0.7", *params,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        j_tokens=st.lists(SMALL_J_TOKEN, min_size=1, max_size=3),
+        grid=st.one_of(
+            st.lists(GAMMA_TOKEN, min_size=1, max_size=4).map(
+                lambda t: ["--gamma=" + ",".join(t)]),
+            st.tuples(FLOAT_TOKEN, FLOAT_TOKEN, st.integers(-1, 6)).map(
+                lambda t: [f"--gamma-min={t[0]}", f"--gamma-max={t[1]}", f"--steps={t[2]}"]),
+        ),
+        model=st.sampled_from(["susy", "general"]),
+        params=st.lists(FLOAT_TOKEN, min_size=4, max_size=4),
+        tol=st.one_of(st.none(), FLOAT_TOKEN),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_any_arguments_end_in_an_exit_code(self, j_tokens, grid, model, params, tol, fmt):
+        # J stays at most 5 and --steps at most 6; the general model's
+        # couplings and --tol take any float, including NaN and overflow.
+        argv = ["spectrum", "--j=" + ",".join(j_tokens), *grid, "--model", model,
+                "--format", fmt]
+        flags = ("--xi", "--chi1", "--chi2", "--lambda")
+        argv += [f"{flag}={value}" for flag, value in zip(flags, params)]
+        if tol is not None:
+            argv.append(f"--tol={tol}")
+        assert_no_silent_nan(*run_bounded(argv))
 
     def test_general_model_missing_params(self, capsys):
         code, _, err = run(
@@ -227,14 +314,9 @@ class TestGapScan:
             st.integers(0, 300).map(str),
             st.integers(0, 300).map(lambda k: f"{2 * k + 1}/2"),
             st.sampled_from(["1/0", "1/3", "0.3", "-1", "nan", "inf", "2.25", "x5", ""]),
-            st.text(alphabet="abcxyz -+", max_size=4),
+            GARBAGE,
         ), min_size=1, max_size=4),
-        gamma_tokens=st.lists(st.one_of(
-            st.floats(-5.0, 5.0).map(repr),
-            st.floats(-400.0, 400.0).map(repr),
-            st.sampled_from(["1e300", "-1e308", "354.5", "1e309", "nan", "-inf", "abc", ""]),
-            st.text(alphabet="abcxyz -+", max_size=4),
-        ), min_size=1, max_size=5),
+        gamma_tokens=st.lists(GAMMA_TOKEN, min_size=1, max_size=5),
         threads=st.sampled_from([None, "1", "2"]),
         fmt=st.sampled_from(["csv", "json"]),
     )
@@ -293,6 +375,26 @@ class TestSusyCheck:
         code, out, err = run(capsys, "susy-check", "--j", "2", "--gamma", gamma)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_too_large_j_is_one_error_line(self, capsys, monkeypatch):
+        # The guard runs before any array is built, so this returns at once.
+        calls = counting(monkeypatch, "build_susy_rotated")
+        code, out, err = run(capsys, "susy-check", "--j", "2001", "--gamma", "0.7")
+        assert code == 2 and out == "" and calls == []
+        assert err == "error: J=2001 exceeds the susy-check limit (dim <= 4001)\n"
+
+    def test_largest_j_passes_the_guard(self, capsys, monkeypatch):
+        def stop(jv, g, tol):
+            raise LmgError(f"reached J={jv}")
+        monkeypatch.setattr(cli, "susy_levels", stop)
+        code, _, err = run(capsys, "susy-check", "--j", "2000", "--gamma", "0.7")
+        assert code == 2 and err == "error: reached J=2000\n"
+
+    @pytest.mark.parametrize("j", ["4", "5/2"])
+    def test_one_dense_eigensolve(self, capsys, monkeypatch, j):
+        calls = counting(monkeypatch, "eig_dense_symmetric")
+        assert run(capsys, "susy-check", "--j", j, "--gamma", "0.9")[0] == 0
+        assert len(calls) == 1
 
     def test_bad_gamma_text(self, capsys):
         code, _, err = run(capsys, "susy-check", "--j", "2", "--gamma", "x")
@@ -365,14 +467,9 @@ class TestFlags:
             st.integers(0, 20).map(str),
             st.integers(0, 19).map(lambda k: f"{2 * k + 1}/2"),
             st.sampled_from(["1/0", "1/3", "0.3", "-1", "nan", "inf", "2.25", "x5", ""]),
-            st.text(alphabet="abcxyz -+", max_size=4),
+            GARBAGE,
         ),
-        gamma_token=st.one_of(
-            st.floats(-5.0, 5.0).map(repr),
-            st.floats(-400.0, 400.0).map(repr),
-            st.sampled_from(["1e300", "-1e308", "354.5", "1e309", "nan", "-inf", "abc", ""]),
-            st.text(alphabet="abcxyz -+", max_size=4),
-        ),
+        gamma_token=GAMMA_TOKEN,
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_any_single_cell_arguments_end_in_an_exit_code(
@@ -410,6 +507,39 @@ class TestFlags:
         code, out, err = run(capsys, *argv, "--tol", tol)
         assert code == 2 and out == ""
         assert err.startswith("error: --tol") and err.count("\n") == 1
+
+
+class TestFormats:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--j", "2,3/2", "--gamma", "0,0.7"],
+        ["spectrum", "--j", "3", "--gamma", "0,0.5", "--model", "general",
+         "--xi", "1", "--chi1", "2", "--chi2", "1", "--lambda", "0.7"],
+        ["gap-scan", "--j-list", "1,5/2,10", "--gamma=-1,0,0.5"],
+        ["ground-state", "--j", "4", "--gamma", "0.5"],
+        ["susy-check", "--j", "4", "--gamma", "0.9"],
+        ["susy-check", "--j", "5/2", "--gamma", "0.3"],
+        ["susy-check", "--j", "3", "--gamma", "0.7", "--tol", "1e-300"],
+    ])
+    def test_csv_and_json_carry_the_same_rows(self, capsys, argv):
+        code, text, _ = run(capsys, *argv)
+        json_code, payload, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(payload)
+        assert code == json_code
+        if argv[0] == "susy-check":
+            lines = text.splitlines()
+            assert [l.split() for l in lines[1:-1]] == [
+                ["PASS" if r["passed"] else "FAIL", r["check"], r["detail"]]
+                for r in payload["rows"]]
+            assert lines[-1] == f"verdict: {payload['summary']['verdict']}"
+            return
+        header, rows = csv_rows(text)
+        assert len(rows) == len(payload["rows"]) > 0
+        for row, obj in zip(rows, payload["rows"]):
+            assert set(obj) == set(header)
+            assert row == {k: cli.fmt(v) for k, v in obj.items()}
+        comments = dict(l[2:].split("=") for l in text.splitlines() if l.startswith("# "))
+        assert comments == {k: cli.fmt(v) for k, v in payload["summary"].items()
+                            if argv[0] == "ground-state"}
 
 
 class TestMain:
@@ -499,3 +629,36 @@ class TestBench:
         assert code == 0
         mem = int(csv_rows(out)[1][0]["mem_bytes"])
         assert 4 * 8 * jj <= mem <= 16 * 8 * jj
+
+    def test_tracemalloc_starts_once_per_command(self, capsys, monkeypatch):
+        # Each cell's peak is reset: the small cell after the large one reads
+        # its own peak, not the large cell's.
+        starts = []
+        start = tracemalloc.start
+        monkeypatch.setattr(tracemalloc, "start", lambda: starts.append(1) or start())
+        jj = 10**5
+        code, out, _ = run(capsys, "bench", "--j-list", f"{jj},10", "--gamma", "0.5,0")
+        assert code == 0 and len(starts) == 1 and not tracemalloc.is_tracing()
+        mem = [int(r["mem_bytes"]) for r in csv_rows(out)[1]]
+        assert all(4 * 8 * jj <= m <= 16 * 8 * jj for m in mem[:2])
+        assert all(0 < m < 4 * 8 * jj // 100 for m in mem[2:])
+
+    def test_caller_tracing_is_left_on(self, capsys):
+        tracemalloc.start()
+        try:
+            assert run(capsys, "bench", "--j-list", "10", "--gamma", "0")[0] == 0
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        j_tokens=st.lists(SMALL_J_TOKEN, min_size=1, max_size=3),
+        gamma_tokens=st.lists(GAMMA_TOKEN, min_size=1, max_size=4),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_any_arguments_end_in_an_exit_code(self, j_tokens, gamma_tokens, fmt):
+        argv = ["bench", "--j-list=" + ",".join(j_tokens),
+                "--gamma=" + ",".join(gamma_tokens), "--format", fmt]
+        assert_no_silent_nan(*run_bounded(argv))
+        assert not tracemalloc.is_tracing()

@@ -18,6 +18,7 @@ from lmgspec import (
     DegenerateAnisotropy,
     ModelParams,
     NotIntegerSpin,
+    OverflowRisk,
     SpinJ,
     build_factorized,
     build_lmg_general,
@@ -78,6 +79,15 @@ class TestBuilders:
         )
         h = build_lmg_general(SpinJ(two_j), p)
         assert np.allclose(h, ref.real, atol=1e-13 * max(1.0, np.max(np.abs(h))))
+
+    @pytest.mark.parametrize("xi, chi1, chi2, lam", [
+        (math.nan, 1.0, 1.0, 1.0), (1.0, math.inf, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0),
+        (1.0, 1e200, 1.0, 1.0), (1e300, 1e10, 0.0, 0.0), (1.0, 1e10, 1e10, 1e308),
+    ])
+    def test_general_entries_not_finite_raise(self, xi, chi1, chi2, lam):
+        # Each ended in an OverflowError or a LinAlgError from eigvalsh.
+        with pytest.raises(OverflowRisk):
+            build_lmg_general(SpinJ(4), ModelParams(xi=xi, chi1=chi1, chi2=chi2, lam=lam))
 
     @pytest.mark.parametrize("g", GAMMAS)
     @pytest.mark.parametrize("two_j", [2, 6, 11])
