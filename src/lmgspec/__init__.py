@@ -1,7 +1,6 @@
 """Spectral analysis of the antiferromagnetic Lipkin-Meshkov-Glick model."""
 
 from .errors import (
-    DegenerateAnisotropy,
     DimensionMismatch,
     DimensionTooLarge,
     EmptySpectrum,
@@ -12,7 +11,6 @@ from .errors import (
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
-    SignViolation,
 )
 from .spin import (
     ParityIndex,
@@ -33,7 +31,6 @@ from .models import (
     extract_hn_blocks,
     gap_sector_tridiag,
     h_minus_elements,
-    params_from_chi,
     supercharge_chain,
     susy_sector_blocks,
 )
@@ -51,12 +48,10 @@ from .eigensolve import (
     CharPoly,
     GapResult,
     charpoly_tridiag,
-    diagonal_lower_bound,
     eig_dense_symmetric,
     eig_symtridiag,
     spectral_gap,
     spectral_gaps,
-    symmetrize_tridiag,
 )
 from .groundstate import GroundState, ground_state, legendre_p
 

@@ -328,9 +328,12 @@ BENCH_HEADER = ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes
 def cmd_bench(args) -> int:
     """Per cell: the solve's wall time and its tracemalloc peak in bytes,
     above what was already traced when the solve began.  tracemalloc runs
-    once for the whole grid, unless the caller already traces."""
+    once for the whole grid, unless the caller already traces.  Every J is
+    checked before the first solve."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
+    if any(not jv.is_integer_spin() or jv.two_j < 2 for jv in j_values):
+        raise NotIntegerSpin("the spectral gap is defined for integer J >= 1")
     rows = []
     tracing = tracemalloc.is_tracing()
     if not tracing:

@@ -9,12 +9,11 @@
   block-diagonal matrix, so each step is one LAPACK dpttrs solve for all.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
-* A dense symmetric oracle (LAPACK eigvalsh) for desk-scale cross-checks.
+* All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
+  spectra that spectrum and susy-check classify and for cross-checks.
 * Characteristic polynomials by a three-term recurrence for tridiagonal
   matrices, used to verify the determinant factorization of the
   non-Hermitian form.
-* The similarity symmetrizer for sign-split tridiagonals and the resulting
-  diagonal lower bound, which yields the gap bound cosh(2*gamma).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .errors import (
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
-    SignViolation,
 )
 from .models import gap_sector_tridiag, supercharge_chain
 from .spin import SpinJ
@@ -47,8 +45,6 @@ __all__ = [
     "eig_symtridiag",
     "eig_dense_symmetric",
     "charpoly_tridiag",
-    "symmetrize_tridiag",
-    "diagonal_lower_bound",
     "spectral_gap",
     "spectral_gaps",
 ]
@@ -187,12 +183,15 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
 def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense symmetric matrix, sorted ascending.
 
-    Desk-scale oracle (dimension up to a few hundred).  Rejects inputs whose
-    asymmetry exceeds 1e-12 of their norm.
+    LAPACK eigvalsh, O(n^3): susy-check calls it up to dimension 4001.
+    Raises NonFiniteInput on a NaN or infinite entry, and NotSymmetric where
+    the asymmetry exceeds 1e-12 of the largest entry.
     """
     m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
+    top = float(np.max(np.abs(m)))  # NaN if any entry is NaN
+    if not math.isfinite(top):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, top):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 
@@ -245,33 +244,6 @@ def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> CharPoly:
         term[: len(p_prev)] -= prod[k - 1] * p_prev
         p_prev, p = p, term
     return CharPoly(p)
-
-
-def symmetrize_tridiag(a: GeneralTridiag) -> tuple:
-    """Similarity-balance a sign-split tridiagonal: off-diagonal pairs
-    (-beta_k, +gamma_k) become (-sqrt(beta_k gamma_k), +sqrt(beta_k gamma_k)).
-
-    Returns (aprime, t_diag) where t_diag is the diagonal of the similarity
-    T (t_1 = 1, t_{i+1} = t_i * sqrt(beta_i/gamma_i)) with T A T^-1 = aprime.
-    The symmetric part of aprime is exactly its diagonal, which is what makes
-    the diagonal lower bound valid.  Requires beta_k, gamma_k > 0 strictly.
-    """
-    if a.n > 1 and (np.any(a.beta <= 0) or np.any(a.gamma_sub <= 0)):
-        raise SignViolation("symmetrizer requires beta_k > 0 and gamma_k > 0")
-    w = np.sqrt(a.beta * a.gamma_sub)
-    aprime = GeneralTridiag(alpha=a.alpha.copy(), beta=w, gamma_sub=w.copy())
-    t_diag = np.ones(a.n)
-    if a.n > 1:
-        ratios = np.sqrt(a.beta / a.gamma_sub)   # t_{i+1} = t_i * sqrt(beta_i/gamma_i)
-        t_diag[1:] = np.cumprod(ratios)
-    return aprime, t_diag
-
-
-def diagonal_lower_bound(aprime: GeneralTridiag) -> float:
-    """min over the diagonal of a balanced sign-split tridiagonal; a lower
-    bound on its smallest (real) eigenvalue because the symmetric part is
-    diagonal and the antisymmetric part has zero Rayleigh quotient."""
-    return float(np.min(aprime.alpha))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class NotIntegerSpin(LmgError):
     """Operation requires integer total spin J (even particle number)."""
 
 
-class DegenerateAnisotropy(LmgError):
-    """chi2 >= chi1, so Omega0**2 <= 0 and the (Omega0, gamma) map is undefined."""
-
-
 class OverflowRisk(LmgError):
     """A result or an intermediate would leave the float64 range."""
 
@@ -27,10 +23,6 @@ class DimensionMismatch(LmgError):
 
 class DimensionTooLarge(LmgError):
     """Characteristic-polynomial routine called beyond its conditioning guard."""
-
-
-class SignViolation(LmgError):
-    """Tridiagonal symmetrizer requires strictly positive off-diagonal pairs."""
 
 
 class EmptySpectrum(LmgError):

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAnisotropy, NonFiniteInput, NotIntegerSpin, OverflowRisk
+from .errors import NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .spin import SpinJ, build_spin_operators
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
     "ModelParams",
     "HnBlocks",
-    "params_from_chi",
     "build_lmg_general",
     "build_susy_rotated",
     "build_factorized",
@@ -40,42 +39,15 @@ __all__ = [
 ]
 
 
-def params_from_chi(chi1: float, chi2: float) -> tuple:
-    """Map anisotropy couplings (chi1, chi2) to (omega0, gamma).
-
-    omega0 = sqrt(chi1^2 - chi2^2) and tanh(gamma) = chi2/chi1, so that
-    chi1 = omega0*cosh(gamma) and chi2 = omega0*sinh(gamma).
-    Requires chi1 > 0 and 0 <= chi2 < chi1.
-    """
-    if chi1 <= 0 or chi2 < 0 or chi2 >= chi1:
-        raise DegenerateAnisotropy(
-            f"need chi1 > chi2 >= 0 with chi1 > 0, got chi1={chi1}, chi2={chi2}"
-        )
-    omega0 = math.sqrt((chi1 - chi2) * (chi1 + chi2))
-    gamma = math.atanh(chi2 / chi1)
-    return omega0, gamma
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """LMG couplings (xi, chi1, chi2, lam); params_from_chi gives their
-    (omega0, gamma)."""
+    """LMG couplings (xi, chi1, chi2, lam) of the general model; xi = lam = 1,
+    chi1 = cosh(g), chi2 = sinh(g) is the SUSY point."""
 
     xi: float
     chi1: float
     chi2: float
     lam: float
-
-    @classmethod
-    def from_gamma(
-        cls, gamma: float, omega0: float = 1.0, lam: float = 1.0, xi: float = 1.0
-    ) -> "ModelParams":
-        return cls(
-            xi=xi,
-            chi1=omega0 * math.cosh(gamma),
-            chi2=omega0 * math.sinh(gamma),
-            lam=lam,
-        )
 
 
 def build_lmg_general(j: SpinJ, p: ModelParams) -> np.ndarray:

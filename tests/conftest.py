@@ -6,8 +6,10 @@ explicit J=2 reference matrices (analytic closed forms over cosh/sinh of
 2*gamma), so that library results are checked against constructions that
 share no code with the implementation.  The exceptions are independent
 kernels rather than independent constructions: supercharge_sigma_min
-(LAPACK dstebz) takes the supercharge chain from lmgspec.models, and
-charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly.
+(LAPACK dstebz) takes the supercharge chain from lmgspec.models,
+charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly, and
+symmetrize_tridiag and diagonal_lower_bound, the similarity argument for
+the gap bound cosh(2*gamma), act on lmgspec's GeneralTridiag.
 """
 
 import math
@@ -101,6 +103,33 @@ def charpoly_dense(m: np.ndarray) -> CharPoly:
         coeffs[n - k] = c
         work = work + c * np.eye(n, dtype=np.longdouble)
     return CharPoly(coeffs.astype(float))
+
+
+def symmetrize_tridiag(a: GeneralTridiag) -> tuple:
+    """Similarity-balance a sign-split tridiagonal: off-diagonal pairs
+    (-beta_k, +gamma_k) become (-sqrt(beta_k gamma_k), +sqrt(beta_k gamma_k)).
+
+    Returns (aprime, t_diag) where t_diag is the diagonal of the similarity
+    T (t_1 = 1, t_{i+1} = t_i * sqrt(beta_i/gamma_i)) with T A T^-1 = aprime.
+    The symmetric part of aprime is exactly its diagonal, which is what makes
+    the diagonal lower bound valid.  Requires beta_k, gamma_k > 0 strictly.
+    """
+    if a.n > 1 and (np.any(a.beta <= 0) or np.any(a.gamma_sub <= 0)):
+        raise ValueError("symmetrizer requires beta_k > 0 and gamma_k > 0")
+    w = np.sqrt(a.beta * a.gamma_sub)
+    aprime = GeneralTridiag(alpha=a.alpha.copy(), beta=w, gamma_sub=w.copy())
+    t_diag = np.ones(a.n)
+    if a.n > 1:
+        ratios = np.sqrt(a.beta / a.gamma_sub)   # t_{i+1} = t_i * sqrt(beta_i/gamma_i)
+        t_diag[1:] = np.cumprod(ratios)
+    return aprime, t_diag
+
+
+def diagonal_lower_bound(aprime: GeneralTridiag) -> float:
+    """min over the diagonal of a balanced sign-split tridiagonal; a lower
+    bound on its smallest (real) eigenvalue because the symmetric part is
+    diagonal and the antisymmetric part has zero Rayleigh quotient."""
+    return float(np.min(aprime.alpha))
 
 
 def sign_canonical(g: GeneralTridiag) -> GeneralTridiag:

@@ -219,6 +219,23 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("g", [0.0, 0.5, -1.1])
+    @pytest.mark.parametrize("j", ["2", "5/2", "6"])
+    def test_general_model_at_the_susy_point_matches_susy(self, capsys, j, g):
+        # xi = lambda = 1, chi1 = cosh(g), chi2 = sinh(g) is the SUSY point.
+        code, out, _ = run(capsys, "spectrum", "--j", j, "--gamma", repr(g))
+        assert code == 0
+        susy = np.array([float(r["eigenvalue"]) for r in csv_rows(out)[1]])
+        code, out, _ = run(
+            capsys, "spectrum", "--j", j, "--gamma", repr(g), "--model", "general",
+            "--xi", "1", "--lambda", "1",
+            "--chi1", repr(math.cosh(g)), "--chi2", repr(math.sinh(g)),
+        )
+        assert code == 0
+        general = np.array([float(r["eigenvalue"]) for r in csv_rows(out)[1]])
+        assert general.shape == susy.shape == (SpinJ.from_j(j).dim,)
+        assert np.max(np.abs(general - susy)) <= 1e-11 * max(1.0, np.max(np.abs(susy)))
+
     def test_json_schema(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--j", "2", "--gamma", "0.3", "--format", "json",
@@ -642,6 +659,13 @@ class TestBench:
         mem = [int(r["mem_bytes"]) for r in csv_rows(out)[1]]
         assert all(4 * 8 * jj <= m <= 16 * 8 * jj for m in mem[:2])
         assert all(0 < m < 4 * 8 * jj // 100 for m in mem[2:])
+
+    @pytest.mark.parametrize("j_list", ["10,100,5/2", "10,0"])
+    def test_j_list_is_checked_before_the_first_solve(self, capsys, monkeypatch, j_list):
+        calls = counting(monkeypatch, "spectral_gap")
+        code, out, err = run(capsys, "bench", "--j-list", j_list, "--gamma", "0,0.5")
+        assert (code, out, err) == (2, "", "error: the spectral gap is defined for integer J >= 1\n")
+        assert len(calls) == 0
 
     def test_caller_tracing_is_left_on(self, capsys):
         tracemalloc.start()

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import charpoly_dense, gap_closed_form_j2, sign_canonical, supercharge_sigma_min
+from conftest import (
+    charpoly_dense,
+    diagonal_lower_bound,
+    gap_closed_form_j2,
+    sign_canonical,
+    supercharge_sigma_min,
+    symmetrize_tridiag,
+)
 from lmgspec import eigensolve
 from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration
 from lmgspec import (
@@ -18,20 +25,17 @@ from lmgspec import (
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
-    SignViolation,
     SpinJ,
     SymTridiag,
     GeneralTridiag,
     build_susy_rotated,
     charpoly_tridiag,
-    diagonal_lower_bound,
     eig_dense_symmetric,
     eig_symtridiag,
     gap_sector_tridiag,
     h_minus_elements,
     spectral_gap,
     spectral_gaps,
-    symmetrize_tridiag,
 )
 
 
@@ -107,6 +111,15 @@ class TestDenseOracle:
         with pytest.raises(NotSymmetric):
             eig_dense_symmetric(rng.standard_normal((5, 5)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_input_raises(self, bad, where):
+        # Caught before the symmetry test, which a NaN passes.
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(NonFiniteInput):
+            eig_dense_symmetric(m)
+
 
 class TestCharPoly:
     def test_tridiag_vs_dense_vs_numpy(self, rng):
@@ -174,7 +187,7 @@ class TestSymmetrize:
 
     def test_sign_violation(self):
         bad = GeneralTridiag(alpha=[1.0, 2.0], beta=[-1.0], gamma_sub=[1.0])
-        with pytest.raises(SignViolation):
+        with pytest.raises(ValueError):
             symmetrize_tridiag(bad)
 
     @pytest.mark.parametrize("g", [0.3, 0.9, 1.6])

@@ -15,7 +15,6 @@ from conftest import (
     ref_hn_j2,
 )
 from lmgspec import (
-    DegenerateAnisotropy,
     ModelParams,
     NotIntegerSpin,
     OverflowRisk,
@@ -28,36 +27,12 @@ from lmgspec import (
     extract_hn_blocks,
     gap_sector_tridiag,
     h_minus_elements,
-    params_from_chi,
     supercharge_chain,
     susy_sector_blocks,
     susy_sort,
 )
 
 GAMMAS = [0.0, 0.3, -0.7, 1.5]
-
-
-class TestParams:
-    def test_from_chi_roundtrip(self):
-        omega0, gamma = params_from_chi(2.0, 1.0)
-        assert math.isclose(omega0 * math.cosh(gamma), 2.0, rel_tol=1e-14)
-        assert math.isclose(omega0 * math.sinh(gamma), 1.0, rel_tol=1e-14)
-
-    @pytest.mark.parametrize("chi1,chi2", [(0.0, 0.0), (1.0, 1.0), (1.0, 2.0), (-1.0, 0.5), (2.0, -0.1)])
-    def test_degenerate_rejected(self, chi1, chi2):
-        with pytest.raises(DegenerateAnisotropy):
-            params_from_chi(chi1, chi2)
-
-    def test_from_gamma_inverts_from_chi(self):
-        p = ModelParams.from_gamma(0.8, omega0=1.3)
-        omega0, gamma = params_from_chi(p.chi1, p.chi2)
-        assert math.isclose(gamma, 0.8, rel_tol=1e-12)
-        assert math.isclose(omega0, 1.3, rel_tol=1e-12)
-
-    def test_susy_point(self):
-        # from_gamma defaults to the SUSY point lambda = 1
-        assert ModelParams.from_gamma(0.5).lam == 1.0
-        assert ModelParams.from_gamma(0.5, lam=0.7).lam == 0.7
 
 
 class TestBuilders:
@@ -72,7 +47,7 @@ class TestBuilders:
     @pytest.mark.parametrize("g", GAMMAS)
     def test_general_matches_complex_oracle(self, g):
         two_j = 8
-        p = ModelParams.from_gamma(g, omega0=1.2, lam=0.7, xi=0.9)
+        p = ModelParams(xi=0.9, chi1=1.2 * math.cosh(g), chi2=1.2 * math.sinh(g), lam=0.7)
         jx, jy, jz = complex_spin_ops(two_j)
         ref = p.xi * (
             p.chi1**2 * (jz @ jz) + p.chi2**2 * (jy @ jy) + p.lam * p.chi1 * p.chi2 * jx
@@ -97,7 +72,7 @@ class TestBuilders:
         scale = max(1.0, np.max(np.abs(e_rot)))
         e_fac = eig_dense_symmetric(build_factorized(jv, g))
         assert np.allclose(e_rot, e_fac, atol=1e-11 * scale)
-        p = ModelParams.from_gamma(g)
+        p = ModelParams(xi=1.0, chi1=math.cosh(g), chi2=math.sinh(g), lam=1.0)
         e_gen = eig_dense_symmetric(build_lmg_general(jv, p))
         assert np.allclose(e_rot, e_gen, atol=1e-11 * scale)
         e_non = np.sort(np.linalg.eigvals(build_nonhermitian(jv, g)).real)
