@@ -13,12 +13,10 @@ from .errors import (
     OverflowRisk,
 )
 from .spin import (
-    ParityIndex,
     SpinJ,
     SpinOperators,
     build_spin_operators,
     mat_exp_scaled,
-    susy_sort,
 )
 from .tridiag import GeneralTridiag, SymTridiag
 from .models import (

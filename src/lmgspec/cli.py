@@ -30,7 +30,8 @@ import tracemalloc
 
 import numpy as np
 
-from .eigensolve import charpoly_tridiag, eig_dense_symmetric, spectral_gap, spectral_gaps
+from .eigensolve import _gap_bound, charpoly_tridiag, eig_dense_symmetric, spectral_gap, \
+    spectral_gaps
 from .errors import LmgError, NotIntegerSpin
 from .groundstate import ground_state
 from .models import HnBlocks, ModelParams, _general_from_dense, build_lmg_general, \
@@ -328,12 +329,13 @@ BENCH_HEADER = ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes
 def cmd_bench(args) -> int:
     """Per cell: the solve's wall time and its tracemalloc peak in bytes,
     above what was already traced when the solve began.  tracemalloc runs
-    once for the whole grid, unless the caller already traces.  Every J is
-    checked before the first solve."""
+    once for the whole grid, unless the caller already traces.  Every cell
+    is checked, in grid order, before the first solve."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
-    if any(not jv.is_integer_spin() or jv.two_j < 2 for jv in j_values):
-        raise NotIntegerSpin("the spectral gap is defined for integer J >= 1")
+    for jv in j_values:
+        for g in gammas:
+            _gap_bound(jv, g)
     rows = []
     tracing = tracemalloc.is_tracing()
     if not tracing:

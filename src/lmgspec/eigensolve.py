@@ -27,6 +27,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrs, dtbtrs
 
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     MethodUnavailable,
     NonFiniteInput,
@@ -184,14 +185,17 @@ def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense symmetric matrix, sorted ascending.
 
     LAPACK eigvalsh, O(n^3): susy-check calls it up to dimension 4001.
-    Raises NonFiniteInput on a NaN or infinite entry, and NotSymmetric where
-    the asymmetry exceeds 1e-12 of the largest entry.
+    Raises DimensionMismatch unless m is a square 2-D matrix (a 0 x 0 one
+    has no eigenvalues), NonFiniteInput on a NaN or infinite entry, and
+    NotSymmetric where the asymmetry exceeds 1e-12 of the largest entry.
     """
     m = np.asarray(m, dtype=float)
-    top = float(np.max(np.abs(m)))  # NaN if any entry is NaN
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"need a square 2-D matrix, got shape {m.shape}")
+    top = float(np.max(np.abs(m), initial=0.0))  # NaN if any entry is NaN
     if not math.isfinite(top):
         raise NonFiniteInput("matrix has a NaN or infinite entry")
-    if float(np.max(np.abs(m - m.T))) > 1e-12 * max(1.0, top):
+    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-12 * max(1.0, top):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 

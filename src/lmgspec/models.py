@@ -7,10 +7,10 @@ Four equivalent forms (all with identical spectra at the SUSY point):
 * factorized form       exp(-g Jx) Jz exp(2 g Jx) Jz exp(-g Jx)
 * non-Hermitian form    Jz^2 cosh(2g) + Ky Jz sinh(2g)
 
-plus the SUSY-sector tridiagonal blocks and the H+/H- block extraction of
-the non-Hermitian form.  Real arithmetic throughout (Jy^2 = -Ky@Ky).  The
-SUSY forms are in units of chi1^2 - chi2^2 = 1: that scale only multiplies
-H, so the spectrum, the gap and its bound cosh(2g) scale together.
+plus the SUSY-sector blocks, from the same closed-form bands as the rotated
+form, and the H+/H- blocks of the non-Hermitian form.  Real arithmetic
+(Jy^2 = -Ky@Ky).  The SUSY forms are in units of chi1^2 - chi2^2 = 1: that
+scale only multiplies H, so the spectrum, the gap and cosh(2g) scale together.
 """
 
 from __future__ import annotations
@@ -90,11 +90,14 @@ def _check_gamma(j: SpinJ, gamma: float) -> None:
 
 
 def build_susy_rotated(j: SpinJ, gamma: float) -> np.ndarray:
-    """Rotated SUSY Hamiltonian Jx^2 cosh^2(g) + Jy^2 sinh^2(g) + Jz cosh(g)sinh(g)."""
+    """Rotated SUSY Hamiltonian Jx^2 cosh^2(g) + Jy^2 sinh^2(g) + Jz cosh(g)sinh(g),
+    any J, filled from its closed-form diagonal and +-2 off-diagonals."""
     _check_gamma(j, gamma)
-    s = build_spin_operators(j)
-    c, sh = math.cosh(gamma), math.sinh(gamma)
-    return c * c * (s.jx @ s.jx) - sh * sh * (s.ky @ s.ky) + c * sh * s.jz
+    band = _sym_block(j, gamma, j.m_values())
+    h = np.diag(band.diag)
+    i = np.arange(j.dim - 2)
+    h[i, i + 2] = h[i + 2, i] = band.off[:-1]
+    return h
 
 
 def build_factorized(j: SpinJ, gamma: float) -> np.ndarray:
@@ -184,7 +187,8 @@ def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:
 
 def _sym_block(j: SpinJ, gamma: float, m: np.ndarray) -> SymTridiag:
     """Symmetric tridiagonal block of the rotated Hamiltonian on the float
-    m-range m (consecutive entries differ by 2)."""
+    m-range m: diag is <m|H|m> and off[i] is <m_i + 2|H|m_i>, the coupling of
+    neighbours where consecutive entries of m differ by 2."""
     jj = j.two_j / 2.0
     c2, s2 = math.cosh(2.0 * gamma), math.sinh(2.0 * gamma)
     diag = 0.5 * (jj * (jj + 1.0) - m * m) * c2 + 0.5 * m * s2

@@ -1,4 +1,4 @@
-"""Collective spin operators in the Jz eigenbasis, plus basis machinery.
+"""Collective spin operators in the Jz eigenbasis and a matrix exponential.
 
 All matrices are real.  Complex structure is carried by ``Ky = i*Jy``, which
 is real antisymmetric; identities involving Jy are restated accordingly
@@ -14,15 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotIntegerSpin, OverflowRisk
+from .errors import OverflowRisk
 
 __all__ = [
     "SpinJ",
     "SpinOperators",
-    "ParityIndex",
     "build_spin_operators",
     "mat_exp_scaled",
-    "susy_sort",
 ]
 
 #: largest allowed value of |t| * ||M||_1 in mat_exp_scaled; exp(700) is near
@@ -128,41 +126,3 @@ def mat_exp_scaled(m: np.ndarray, t: float) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
-
-
-@dataclass(frozen=True)
-class ParityIndex:
-    """A two-sector split of the Jz basis with its sorting permutation.
-
-    ``even_m`` is the first sector, ``odd_m`` the second, both ascending in m.
-    ``perm[k]`` is the original basis index of the k-th sorted vector.
-    """
-
-    j: SpinJ
-    even_m: tuple
-    odd_m: tuple
-    perm: np.ndarray
-
-    @property
-    def sizes(self) -> tuple:
-        return (len(self.even_m), len(self.odd_m))
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        """Conjugate a (2J+1)x(2J+1) matrix into the sector-sorted basis."""
-        return matrix[np.ix_(self.perm, self.perm)]
-
-
-def susy_sort(j: SpinJ) -> ParityIndex:
-    """Split the basis by boson-excitation parity F = (m + J) mod 2.
-
-    The F=0 sector {m : m == J (mod 2)} comes first; it has size J+1 and is
-    the sector holding the zero mode.  The F=1 sector has size J.  For even J
-    these are the even-m and odd-m sectors; for odd J the two swap.
-    """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("SUSY sector split needs integer J")
-    jj = j.two_j // 2
-    f0 = tuple(range(-jj, jj + 1, 2))
-    f1 = tuple(range(-jj + 1, jj, 2))
-    perm = np.array([m + jj for m in f0 + f1])
-    return ParityIndex(j=j, even_m=f0, odd_m=f1, perm=perm)

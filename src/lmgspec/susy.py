@@ -1,9 +1,10 @@
 """Supercharges, superalgebra verification, and spectrum classification.
 
-Supercharges are built in the SUSY-sorted basis (zero-mode sector of size
-J+1 first, gap sector of size J second, see spin.susy_sort), where they are
-purely off-block-diagonal and Q1^2 reproduces the sorted Hamiltonian exactly.
-Q2 is purely imaginary; its real content is r2 with Q2 = i*r2.
+Supercharges are built in the SUSY-sorted basis: the zero sector
+{m : m == J (mod 2)} of size J+1 first, the gap sector of size J second
+(models.susy_sector_blocks).  There they are purely off-block-diagonal and
+Q1^2 reproduces the sorted Hamiltonian, the block diagonal of the two sector
+blocks.  Q2 is purely imaginary; its real content is r2 with Q2 = i*r2.
 
 verify_superalgebra checks the identities on the dense matrices and is the
 oracle; verify_superalgebra_bands checks them on O(J) bands, between the
@@ -17,10 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch, EmptySpectrum, NotIntegerSpin
-from .models import build_susy_rotated, supercharge_chain, susy_sector_blocks
-from .spin import SpinJ, build_spin_operators, susy_sort
+from .models import supercharge_chain, susy_sector_blocks
+from .spin import SpinJ, build_spin_operators
 
 __all__ = [
     "Supercharges",
@@ -43,8 +45,10 @@ class Supercharges:
 
 
 def susy_sorted_hamiltonian(j: SpinJ, gamma: float) -> np.ndarray:
-    """Rotated SUSY Hamiltonian permuted into the supercharge basis."""
-    return susy_sort(j).apply(build_susy_rotated(j, gamma))
+    """Rotated SUSY Hamiltonian in the supercharge basis, integer J: the
+    block diagonal of the zero and gap sector blocks, each ascending in m."""
+    zero_sector, gap_sector = susy_sector_blocks(j, gamma)
+    return block_diag(zero_sector.to_dense(), gap_sector.to_dense())
 
 
 def build_supercharges(j: SpinJ, gamma: float) -> Supercharges:
@@ -52,20 +56,18 @@ def build_supercharges(j: SpinJ, gamma: float) -> Supercharges:
 
     Let M = Jx cosh(g) + Ky sinh(g) (the real image of Jx cosh(g) +
     i Jy sinh(g)).  The coupling block is M restricted to (zero-sector rows,
-    gap-sector columns) with the gap-sector columns taken in reversed m
-    order; the reversal is what makes q1^2 equal the sorted Hamiltonian in
-    both sectors simultaneously.
+    gap-sector columns), i.e. the even basis indices i = m + J against the
+    odd ones, with the gap-sector columns taken in reversed m order; the
+    reversal is what makes q1^2 equal the sorted Hamiltonian in both sectors
+    simultaneously.
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("supercharges require integer J (even particle number)")
     s = build_spin_operators(j)
     m1t = math.cosh(gamma) * s.jx + math.sinh(gamma) * s.ky
-    idx = susy_sort(j)
-    k = len(idx.even_m)
-    rows = idx.perm[:k]
-    cols = idx.perm[k:][::-1]
-    x = m1t[np.ix_(rows, cols)]
     dim = j.dim
+    x = m1t[np.ix_(np.arange(0, dim, 2), np.arange(dim - 2, 0, -2))]
+    k = x.shape[0]
     q1 = np.zeros((dim, dim))
     q1[:k, k:] = x
     q1[k:, :k] = x.T

@@ -667,6 +667,12 @@ class TestBench:
         assert (code, out, err) == (2, "", "error: the spectral gap is defined for integer J >= 1\n")
         assert len(calls) == 0
 
+    def test_overflowing_gamma_is_checked_before_the_first_solve(self, capsys, monkeypatch):
+        calls = counting(monkeypatch, "spectral_gap")
+        code, out, err = run(capsys, "bench", "--j-list", "100000,10", "--gamma", "0.5,0,400")
+        assert (code, out) == (2, "") and len(calls) == 0
+        assert err.startswith("error: J=100000, gamma=400.0:") and err.count("\n") == 1
+
     def test_caller_tracing_is_left_on(self, capsys):
         tracemalloc.start()
         try:

@@ -18,6 +18,7 @@ from lmgspec import eigensolve
 from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration
 from lmgspec import (
     CharPoly,
+    DimensionMismatch,
     DimensionTooLarge,
     MethodUnavailable,
     NonFiniteInput,
@@ -119,6 +120,16 @@ class TestDenseOracle:
         m[where] = m[where[::-1]] = bad
         with pytest.raises(NonFiniteInput):
             eig_dense_symmetric(m)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3,), (2, 3), (1, 1, 1)])
+    def test_shape(self, shape):
+        # A 0 x 0 matrix has no eigenvalues; the rest are not square 2-D.
+        m = np.ones(shape)
+        if shape == (0, 0):
+            assert eig_dense_symmetric(m).shape == (0,)
+        else:
+            with pytest.raises(DimensionMismatch):
+                eig_dense_symmetric(m)
 
 
 class TestCharPoly:

@@ -29,20 +29,32 @@ from lmgspec import (
     h_minus_elements,
     supercharge_chain,
     susy_sector_blocks,
-    susy_sort,
+    susy_sorted_hamiltonian,
 )
+from lmgspec import models
+from lmgspec.cli import main
 
 GAMMAS = [0.0, 0.3, -0.7, 1.5]
 
 
 class TestBuilders:
     @pytest.mark.parametrize("g", GAMMAS)
-    @pytest.mark.parametrize("two_j", [2, 4, 7, 12])
+    @pytest.mark.parametrize("two_j", [2, 4, 7, 12, 101, 200])
     def test_rotated_matches_complex_oracle(self, two_j, g):
         h = build_susy_rotated(SpinJ(two_j), g)
         ref = oracle_h_susy(two_j, g)
         assert np.allclose(h, ref, atol=1e-13 * max(1.0, np.max(np.abs(ref))))
         assert np.array_equal(h, h.T)
+
+    def test_rotated_forms_need_no_spin_matrices(self, monkeypatch, capsys):
+        # The rotated H and its sector-sorted form come from closed-form bands.
+        def fail(j):
+            raise AssertionError("build_spin_operators called")
+        monkeypatch.setattr(models, "build_spin_operators", fail)
+        assert build_susy_rotated(SpinJ(7), 0.4).shape == (8, 8)
+        assert susy_sorted_hamiltonian(SpinJ(12), 0.4).shape == (13, 13)
+        assert main(["spectrum", "--j", "7/2,6", "--gamma", "0.4"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 8 + 13
 
     @pytest.mark.parametrize("g", GAMMAS)
     def test_general_matches_complex_oracle(self, g):
@@ -144,10 +156,12 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("g", GAMMAS)
     @pytest.mark.parametrize("two_j", [2, 6, 8, 14])
     def test_parity_blocks_reembed_exactly(self, two_j, g):
-        # the SUSY sectors are the m-parity sectors (swapped for odd J)
+        # the SUSY sectors are the m-parity sectors (swapped for odd J):
+        # the even basis indices i = m + J, then the odd ones
         jv = SpinJ(two_j)
         zero_sec, gap_sec = susy_sector_blocks(jv, g)
-        sorted_h = susy_sort(jv).apply(build_susy_rotated(jv, g))
+        perm = np.r_[0:two_j + 1:2, 1:two_j + 1:2]
+        sorted_h = oracle_h_susy(two_j, g)[np.ix_(perm, perm)]
         k = zero_sec.n
         dense = np.zeros_like(sorted_h)
         dense[:k, :k] = zero_sec.to_dense()
@@ -166,8 +180,14 @@ class TestSectorBlocks:
                 [eig_dense_symmetric(zero_sec.to_dense()), eig_dense_symmetric(gap_sec.to_dense())]
             )
         )
-        full = eig_dense_symmetric(build_susy_rotated(jv, g))
+        full = eig_dense_symmetric(oracle_h_susy(two_j, g))
         assert np.allclose(union, full, atol=1e-10 * max(1.0, np.max(np.abs(full))))
+
+    @pytest.mark.parametrize("two_j", [2, 4, 6, 10, 14])
+    def test_sector_sizes(self, two_j):
+        jj = two_j // 2
+        zero_sec, gap_sec = susy_sector_blocks(SpinJ(two_j), 0.6)
+        assert (zero_sec.n, gap_sec.n) == (jj + 1, jj)
 
     @pytest.mark.parametrize("two_j", [2, 6, 8, 14])
     def test_gap_sector_tridiag_matches_block(self, two_j):
@@ -208,7 +228,10 @@ class TestSectorBlocks:
         assert e1[0] > 1.0  # the gap sector is bounded away from zero
 
     def test_errors(self):
-        with pytest.raises(NotIntegerSpin):
-            susy_sector_blocks(SpinJ(5), 0.5)
+        for two_j in (3, 5):
+            with pytest.raises(NotIntegerSpin):
+                susy_sector_blocks(SpinJ(two_j), 0.5)
+            with pytest.raises(NotIntegerSpin):
+                susy_sorted_hamiltonian(SpinJ(two_j), 0.5)
         with pytest.raises(NotIntegerSpin):
             gap_sector_tridiag(SpinJ(0), 0.5)

@@ -1,4 +1,4 @@
-"""Spin operators, basis sorting, and the matrix exponential."""
+"""Spin operators and the matrix exponential."""
 
 import math
 
@@ -10,12 +10,10 @@ from scipy.linalg import expm
 
 from conftest import complex_spin_ops
 from lmgspec import (
-    NotIntegerSpin,
     OverflowRisk,
     SpinJ,
     build_spin_operators,
     mat_exp_scaled,
-    susy_sort,
 )
 
 
@@ -124,51 +122,3 @@ class TestMatExp:
         a, b = mat_exp_scaled(m, t), mat_exp_scaled(m, -t)
         tol = 64 * np.finfo(float).eps * np.linalg.norm(a, np.inf) * np.linalg.norm(b, np.inf)
         assert np.max(np.abs(a @ b - np.eye(4))) <= tol
-
-
-class TestSorting:
-    def test_parity_sort_j2(self):
-        # for even J the SUSY split is the m-parity split
-        idx = susy_sort(SpinJ(4))
-        assert idx.even_m == (-2, 0, 2) and idx.odd_m == (-1, 1)
-        assert np.array_equal(idx.perm, [0, 2, 4, 1, 3])
-        assert idx.sizes == (3, 2)
-
-    def test_susy_sort_even_j_matches_parity(self):
-        idx = susy_sort(SpinJ(8))
-        assert idx.even_m == (-4, -2, 0, 2, 4) and idx.odd_m == (-3, -1, 1, 3)
-        assert np.array_equal(idx.perm, [0, 2, 4, 6, 8, 1, 3, 5, 7])
-
-    def test_susy_sort_odd_j_swaps(self):
-        idx = susy_sort(SpinJ(6))          # J = 3: zero sector holds odd m
-        assert idx.even_m == (-3, -1, 1, 3)
-        assert idx.odd_m == (-2, 0, 2)
-        assert idx.sizes == (4, 3)
-
-    @pytest.mark.parametrize("two_j", [2, 4, 6, 10, 14])
-    def test_sector_sizes(self, two_j):
-        jj = two_j // 2
-        assert susy_sort(SpinJ(two_j)).sizes == (jj + 1, jj)
-
-    def test_half_integer_rejected(self):
-        with pytest.raises(NotIntegerSpin):
-            susy_sort(SpinJ(3))
-        with pytest.raises(NotIntegerSpin):
-            susy_sort(SpinJ(5))
-
-    def test_apply_and_blocks_roundtrip(self, rng):
-        idx = susy_sort(SpinJ(6))
-        m = rng.standard_normal((7, 7))
-        sorted_m = idx.apply(m)
-        first = [mv + 3 for mv in idx.even_m]       # basis index i = m + J
-        second = [mv + 3 for mv in idx.odd_m]
-        assert np.array_equal(sorted_m[:4, :4], m[np.ix_(first, first)])
-        assert np.array_equal(sorted_m[4:, 4:], m[np.ix_(second, second)])
-        assert np.array_equal(sorted_m[:4, 4:], m[np.ix_(first, second)])
-
-    @settings(max_examples=20, deadline=None)
-    @given(jj=st.integers(1, 30))
-    def test_perm_is_permutation(self, jj):
-        idx = susy_sort(SpinJ(2 * jj))
-        assert sorted(idx.perm.tolist()) == list(range(2 * jj + 1))
-        assert sorted(idx.even_m + idx.odd_m) == list(range(-jj, jj + 1))
