@@ -1,4 +1,4 @@
-"""Spin operators and the matrix exponential."""
+"""Spin operators, the matrix exponential and the SUSY basis ordering."""
 
 import math
 
@@ -10,10 +10,13 @@ from scipy.linalg import expm
 
 from conftest import complex_spin_ops
 from lmgspec import (
+    NotIntegerSpin,
     OverflowRisk,
     SpinJ,
     build_spin_operators,
     mat_exp_scaled,
+    susy_sector_blocks,
+    susy_sorted_hamiltonian,
 )
 
 
@@ -122,3 +125,13 @@ class TestMatExp:
         a, b = mat_exp_scaled(m, t), mat_exp_scaled(m, -t)
         tol = 64 * np.finfo(float).eps * np.linalg.norm(a, np.inf) * np.linalg.norm(b, np.inf)
         assert np.max(np.abs(a @ b - np.eye(4))) <= tol
+
+
+class TestSorting:
+    def test_half_integer_rejected(self):
+        # the SUSY sector ordering splits the m-parity sectors, which needs integer J
+        for two_j in (3, 5):
+            with pytest.raises(NotIntegerSpin):
+                susy_sector_blocks(SpinJ(two_j), 0.5)
+            with pytest.raises(NotIntegerSpin):
+                susy_sorted_hamiltonian(SpinJ(two_j), 0.5)
