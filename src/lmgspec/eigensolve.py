@@ -5,8 +5,10 @@
   block) that are built from the chain with positive terms only, so the gap
   keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
   measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7.
-  The cells of one J run as one batch: their factors are stacked into one
-  block-diagonal matrix, so each step is one LAPACK dpttrs solve for all.
+  The cells of one J run as one batch: their factors are built together,
+  one array operation for all cells, and stacked into one block-diagonal
+  matrix, so each step is one LAPACK dpttrs solve for every cell that has
+  not settled; a cell leaves the batch at the step where it settles.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
@@ -36,7 +38,7 @@ from .errors import (
     NotSymmetric,
     OverflowRisk,
 )
-from .models import gap_sector_tridiag, supercharge_chain
+from .models import chain_magnitudes, gap_sector_tridiag
 from .spin import SpinJ
 from .tridiag import GeneralTridiag, SymTridiag
 
@@ -73,10 +75,10 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
 _LDL_CHUNK = 1 << 16
 
 
-def _gap_ldl_factors(j: SpinJ, gamma: float, d: np.ndarray, l: np.ndarray) -> None:
-    """Fill d and l[:J-1], views of length J, with the LDL^T factors of the
-    gap-sector block X^T X at -|gamma|, similarity-signed so that every
-    d_k > 0 and every l_k < 0; l[J-1] is not written.
+def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
+    """(d, l), (nb, J) arrays whose row r holds the LDL^T factors of the
+    gap-sector block X^T X at -|gammas[r]|, similarity-signed so that every
+    d_k > 0 and every l_k < 0, and l[r, J-1] = 0.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -87,36 +89,66 @@ def _gap_ldl_factors(j: SpinJ, gamma: float, d: np.ndarray, l: np.ndarray) -> No
     u_k = S_k / psi_(k+1)^2, where S_k are the partial squared norms of the
     zero mode X^T psi = 0; at -|gamma| the zero mode grows along k, so u
     stays bounded.  Every operation adds or multiplies positive numbers, so
-    each factor is accurate to a few ulps relative.  The recurrence for u is
-    a unit lower bidiagonal solve (LAPACK dtbtrs), run on chunks of the
-    chain that carry u_(k-1) across chunk boundaries.
+    each factor is accurate to a few ulps relative.
+
+    All rows are built at once.  The chain at -|gamma| is the gamma-free
+    chain v (models.chain_magnitudes) times e^|gamma| on a and e^-|gamma|
+    on b, so v is built once per chunk and each array operation covers
+    every row.  The recurrence for u is one unit lower bidiagonal solve
+    (LAPACK dtbtrs) over the stacked rows, with coupling 0 at each row
+    start, so it rounds each row as it would alone.  One row goes in column
+    chunks of _LDL_CHUNK that carry u_(k-1) across chunk boundaries; a batch
+    of several rows is one chunk, at most _LDL_CHUNK wide in all through
+    _batch_rows.  a and b are recomputed from v where they are needed
+    rather than stored: apart from d and l, the only buffer the size of the
+    batch is the dtbtrs band, whose row 0, the unit diagonal that dtbtrs
+    does not read, holds a_(k+1) for l.  So the build holds no more memory
+    than the iteration that follows.
     """
-    n = d.size
-    band = np.empty((2, min(n, _LDL_CHUNK)), order="F")  # row 0 (unit diagonal) is unread
-    u_prev = 0.0
-    for s in range(0, n, _LDL_CHUNK):
-        t = min(n, s + _LDL_CHUNK)
+    n, nb = j.two_j // 2, len(gammas)
+    d = np.empty((nb, n))
+    l = np.empty((nb, n))
+    up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
+    down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
+    width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
+    band = np.empty((2, nb * width), order="F")
+    u_prev = np.zeros(nb)
+    for s in range(0, n, width):
+        t = min(n, s + width)
         size = t - s
-        e = supercharge_chain(j, -abs(gamma), 2 * s, min(2 * t + 1, 2 * n))
-        a, b = e[0::2], e[1::2]        # a_s .. a_t (a_t only if t < n), b_s .. b_(t-1)
-        u = np.square(b / a[:size])    # c_k
-        np.negative(u[1:], out=band[1, :size - 1])
-        u[0] += u[0] * u_prev          # u_(s-1) from the previous chunk
-        dtbtrs(band[:, :size], u, uplo="L", diag="U", overwrite_b=1)
-        one_plus = np.empty(size)
-        one_plus[0] = u_prev
-        one_plus[1:] = u[:-1]
-        one_plus += 1.0
-        u_prev = float(u[-1])
-        dk = d[s:t]
-        np.square(a[:size], out=dk)
-        dk /= one_plus
-        dk += np.square(b)
-        k = a.size - 1                 # l_s .. l_(s+k-1) need a_(s+1) .. a_(s+k)
-        lk = l[s:s + k]
-        np.multiply(b[:k], a[1:], out=lk)
-        lk /= dk[:k]
-        np.negative(lk, out=lk)
+        v = chain_magnitudes(j, 2 * s, min(2 * t + 1, 2 * n))
+        # a_s .. a_t (a_t only if t < n) and b_s .. b_(t-1) at gamma = 0,
+        # copied once to contiguous arrays since each is read three times
+        va, vb = v[0::2].copy(), v[1::2].copy()
+        dk, lk = d[:, s:t], l[:, s:t]
+        ab = band[:, :nb * size]
+        a_next, sub = ab[0].reshape(nb, size), ab[1].reshape(nb, size)
+        np.multiply(vb, down, out=lk)
+        np.multiply(va[:size], up, out=dk)
+        np.divide(lk, dk, out=dk)
+        np.square(dk, out=dk)          # c_k
+        np.negative(dk[:, 1:], out=sub[:, :-1])
+        sub[:, -1] = 0.0               # rows do not couple
+        dk[:, 0] += dk[:, 0] * u_prev  # u_(s-1) from the previous chunk
+        dtbtrs(ab, dk.reshape(-1), uplo="L", diag="U", overwrite_b=1)
+        lk[:, 0] = u_prev
+        lk[:, 1:] = dk[:, :-1]
+        lk += 1.0                      # 1 + u_(k-1)
+        u_prev = dk[:, -1].copy()
+        np.multiply(va[:size], up, out=dk)
+        np.square(dk, out=dk)
+        dk /= lk
+        np.multiply(vb, down, out=lk)
+        np.square(lk, out=lk)
+        dk += lk
+        k = va.size - 1                # l_s .. l_(s+k-1) need a_(s+1) .. a_(s+k)
+        np.multiply(va[1:], up, out=a_next[:, :k])
+        np.multiply(vb[:k], down, out=lk[:, :k])
+        lk[:, :k] *= a_next[:, :k]
+        lk[:, :k] /= dk[:, :k]
+        np.negative(lk[:, :k], out=lk[:, :k])
+    l[:, -1] = 0.0
+    return d, l
 
 
 _INVIT_MAX_STEPS = 100
@@ -134,50 +166,61 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
 
     The cells' factors are the rows of (nb, J) arrays d and l, with l = 0
     at the end of each row, so the stacked block-diagonal matrix decouples
-    and each step is one LAPACK dpttrs solve y = A^-1 x for all cells; the
-    solve rounds each block exactly as it would alone.  Each block's inverse
-    is entrywise positive, so y stays positive and every sum in the solve
-    and in the dot products adds positive terms.  Per row, the Rayleigh
-    quotient rho = x.y / y.y of y never rises in exact arithmetic, and the
-    row's gap is taken at the first step where rho falls by at most 2 eps
-    relative.  Each row of d is first scaled by an exact power of two so
-    that its smallest entry, an upper bound on the smallest eigenvalue, lies
-    in [1/2, 1): y.y then stays in float64 range.  A row takes 8-11 steps
-    at gamma = 0 and about 27 at large J and gamma != 0, where
-    lambda_1/lambda_0 is about 2.  Raises NotConverged, naming the first
-    unsettled gamma, after _INVIT_MAX_STEPS steps.
+    and each step is one LAPACK dpttrs solve y = A^-1 x for all active
+    cells; the solve rounds each block exactly as it would alone.  Each
+    block's inverse is entrywise positive, so y stays positive and every sum
+    in the solve and in the dot products adds positive terms.  Per row, the
+    Rayleigh quotient rho = x.y / y.y of y never rises in exact arithmetic,
+    and the row's gap is taken at the first step where rho falls by at most
+    2 eps relative.  That row then leaves the batch: the last unsettled rows
+    move into the settled rows' slots and d, l, x and y keep their first
+    rows, so later steps solve only the unsettled rows; rows maps each
+    active row to its index in gammas.  Each row of d is first scaled by an
+    exact power of two so that its smallest entry, an upper bound on the
+    smallest eigenvalue, lies in [1/2, 1): y.y then stays in float64 range.
+    A row takes 8-11 steps at gamma = 0 and about 27 at large J and
+    gamma != 0, where lambda_1/lambda_0 is about 2.  Raises NotConverged,
+    naming the first unsettled gamma in the order of gammas, after
+    _INVIT_MAX_STEPS steps.
     """
-    n, nb = j.two_j // 2, len(gammas)
-    d = np.empty((nb, n))
-    l = np.zeros((nb, n))
-    for row, g in enumerate(gammas):
-        _gap_ldl_factors(j, g, d[row], l[row])
+    d, l = _gap_ldl_factors(j, gammas)
+    nb, n = d.shape
     if n == 1:  # a 1x1 block is its eigenvalue; a lone dpttrs solve rounds unlike a batch
         return d[:, 0]
     k = np.frexp(np.min(d, axis=1))[1]
     np.ldexp(d, -k[:, None], out=d)
-    d_flat = d.ravel()
-    l_flat = l.ravel()[:-1]
     x = np.ones((nb, n))
     y = np.empty((nb, n))
     scale = np.full(nb, 1.0 / math.sqrt(n))  # each row of x * scale has unit norm
     rho_old = np.full(nb, math.inf)
     gaps = np.empty(nb)
-    settled = np.zeros(nb, dtype=bool)
+    rows = np.arange(nb)
+    d_flat, l_flat = d.ravel(), l.ravel()[:-1]
     for _ in range(_INVIT_MAX_STEPS):
         np.multiply(x, scale[:, None], out=y)
-        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
+        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(-1, n)
         yy = np.vecdot(y, y)
         rho = scale * np.vecdot(x, y) / yy
-        now = ~settled & (rho_old - rho <= 2.0 * _EPS * rho)
-        gaps[now] = np.ldexp(rho[now], k[now])
-        settled |= now
-        if settled.all():
-            return gaps
+        now = rho_old - rho <= 2.0 * _EPS * rho
+        done = np.count_nonzero(now)
+        if done:
+            gaps[rows[now]] = np.ldexp(rho[now], k[now])
+            m = rows.size - done
+            if m == 0:
+                return gaps
+            # In place: only the moved rows are copied, so no second set of
+            # row arrays is alive and the memory stays that of the first step.
+            # x is not moved: it is only the next step's output buffer.
+            holes = np.flatnonzero(now[:m])
+            movers = m + np.flatnonzero(~now[m:])
+            for a in (rows, k, rho, yy, d, l, y):
+                a[holes] = a[movers]
+            rows, k, rho, yy, d, l, x, y = (a[:m] for a in (rows, k, rho, yy, d, l, x, y))
+            d_flat, l_flat = d.ravel(), l.ravel()[:-1]
         rho_old = rho
         x, y = y, x
         scale = 1.0 / np.sqrt(yy)
-    raise NotConverged(f"J={j}, gamma={gammas[int(np.argmin(settled))]!r}: "
+    raise NotConverged(f"J={j}, gamma={gammas[rows.min()]!r}: "
                        f"inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")
 
 

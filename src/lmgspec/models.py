@@ -223,6 +223,14 @@ def gap_sector_tridiag(j: SpinJ, gamma: float) -> SymTridiag:
     return susy_sector_blocks(j, gamma)[1]
 
 
+def chain_magnitudes(j: SpinJ, start: int = 0, stop=None) -> np.ndarray:
+    """supercharge_chain at gamma = 0: v_m = sqrt((J-m)(J+m+1))/2 with
+    m = i - J for i = start .. stop-1 (default: all, i < 2J)."""
+    jj = j.two_j / 2.0
+    m = np.arange(start, j.two_j if stop is None else stop) - jj
+    return 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
+
+
 def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.ndarray:
     """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
 
@@ -234,9 +242,7 @@ def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.n
     +-sigma_k of that block (and 0 for integer J).
     start and stop select the entries e_start .. e_(stop-1) (default: all).
     """
-    jj = j.two_j / 2.0
-    m = np.arange(start, j.two_j if stop is None else stop) - jj
-    e = 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
+    e = chain_magnitudes(j, start, stop)
     e[start % 2::2] *= math.exp(-gamma)
     e[1 - start % 2::2] *= math.exp(gamma)
     return e

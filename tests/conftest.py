@@ -9,7 +9,9 @@ kernels rather than independent constructions: supercharge_sigma_min
 (LAPACK dstebz) takes the supercharge chain from lmgspec.models,
 charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly, and
 symmetrize_tridiag and diagonal_lower_bound, the similarity argument for
-the gap bound cosh(2*gamma), act on lmgspec's GeneralTridiag.
+the gap bound cosh(2*gamma), act on lmgspec's GeneralTridiag, and
+ldl_factors_one_row repeats the gap kernel's factor arithmetic one gamma
+at a time.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
 from lmgspec import (
     CharPoly,
@@ -143,6 +146,23 @@ def sign_canonical(g: GeneralTridiag) -> GeneralTridiag:
         signs[k + 1] = -signs[k] if g.beta[k] < 0 else signs[k]
     scale = signs[:-1] * signs[1:]
     return GeneralTridiag(alpha=g.alpha.copy(), beta=g.beta * scale, gamma_sub=g.gamma_sub * scale)
+
+
+def ldl_factors_one_row(j: SpinJ, gamma: float) -> tuple:
+    """(d, l) of the gap-sector block's LDL^T factors at -|gamma|, one gamma
+    at a time and in one unchunked dtbtrs solve: the construction that
+    eigensolve._gap_ldl_factors runs for a whole batch, with the same
+    arithmetic, so the two agree bit for bit up to J = 2^16.  l[-1] = 0."""
+    e = supercharge_chain(j, -abs(gamma))
+    a, b = e[0::2], e[1::2]
+    c = np.square(b / a)
+    band = np.zeros((2, c.size), order="F")
+    band[1, :-1] = -c[1:]
+    u = dtbtrs(band, c, uplo="L", diag="U")[0]
+    d = np.square(a) / (1.0 + np.concatenate([[0.0], u[:-1]])) + np.square(b)
+    l = np.zeros(a.size)
+    l[:-1] = -(b[:-1] * a[1:]) / d[:-1]
+    return d, l
 
 
 # ------------------------------------------------- J=2 reference matrices

@@ -10,6 +10,7 @@ from conftest import (
     charpoly_dense,
     diagonal_lower_bound,
     gap_closed_form_j2,
+    ldl_factors_one_row,
     sign_canonical,
     supercharge_sigma_min,
     symmetrize_tridiag,
@@ -397,6 +398,27 @@ class TestSpectralGaps:
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 1)
         with pytest.raises(NotConverged, match="gamma=0.0"):
             spectral_gaps(SpinJ(10), [0.0, 0.5])
+        # At J = 10, gamma = 0 settles at step 9 and gamma = 0.5 at step 30:
+        # the settled row has left the batch, and the error still names the
+        # first unsettled gamma in the caller's order.
+        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 12)
+        with pytest.raises(NotConverged, match="gamma=0.5"):
+            spectral_gaps(SpinJ(20), [0.0, 0.5])
+        with pytest.raises(NotConverged, match="gamma=0.7"):
+            spectral_gaps(SpinJ(20), [0.0, 0.7, 0.0, 0.5])
+
+    def test_settled_rows_leave_the_solve(self, monkeypatch):
+        sizes = []
+        solve = eigensolve.dpttrs
+
+        def spy(d, e, b, **kwargs):
+            sizes.append(b.size)
+            return solve(d, e, b, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "dpttrs", spy)
+        res = spectral_gaps(SpinJ(20), [0.0, 0.5])
+        assert sizes == [20] * 9 + [10] * 21
+        assert [r.gap for r in res] == [spectral_gap(SpinJ(20), g).gap for g in (0.0, 0.5)]
 
     def test_large_j_batch_holds_one_cell(self, monkeypatch):
         # At J = 1e5 a row of the stacked arrays exceeds _LDL_CHUNK doubles,
@@ -412,3 +434,73 @@ class TestSpectralGaps:
         res = spectral_gaps(SpinJ(2 * 10**5), [0.0, 0.5, -1.0, 2.0])
         assert sizes == [1, 1, 1, 1]
         assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)
+
+
+class TestGapBits:
+    """The gaps' exact bits, recorded from the per-row factor build that the
+    batched one replaced: a change in rounding shows here even where batch
+    and single calls still agree with each other.  gamma = 0.45 and -2.1
+    are values where the array np.exp is an ulp off math.exp."""
+
+    GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 300.0, -300.0, 0.45, -2.1]
+    HEX = {
+        1: (
+            "0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000001p+0",
+            "0x1.8b07551d9f552p+0", "0x1.8b07551d9f552p+0", "0x1.936e67db9b91bp+7",
+            "0x1.936e67db9b91bp+7", "0x1.88a122d234b39p+864", "0x1.88a122d234b39p+864",
+            "0x1.6edebfd5d8680p+0", "0x1.0ace28909c20bp+5",
+        ),
+        2: (
+            "0x1.0000000000000p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0",
+            "0x1.1f946412861cfp+1", "0x1.1f946412861cfp+1", "0x1.936bde1a90079p+8",
+            "0x1.936bde1a90079p+8", "0x1.88a122d234b3cp+865", "0x1.88a122d234b3cp+865",
+            "0x1.ff515197449c8p+0", "0x1.0a90dc43a1461p+6",
+        ),
+        5: (
+            "0x1.0000000000001p+0", "0x1.0000000000009p+0", "0x1.0000000000009p+0",
+            "0x1.642e5d081d434p+2", "0x1.642e5d081d434p+2", "0x1.f84831afaf32ap+9",
+            "0x1.f84831afaf32ap+9", "0x1.eac96b86c1e08p+866", "0x1.eac96b86c1e08p+866",
+            "0x1.3224d96f0f3ebp+2", "0x1.4d55d2ff5be1ep+7",
+        ),
+        30: (
+            "0x1.0000000000001p+0", "0x1.000000000011ap+0", "0x1.000000000011ap+0",
+            "0x1.187c2b2d09887p+5", "0x1.187c2b2d09887p+5", "0x1.7a364b6f19fafp+12",
+            "0x1.7a364b6f19fafp+12", "0x1.701710a511686p+869", "0x1.701710a511686p+869",
+            "0x1.e94398cfab87ep+4", "0x1.f407f42f7e57cp+9",
+        ),
+        1000: (
+            "0x1.0000000000012p+0", "0x1.0000000049602p+0", "0x1.0000000049602p+0",
+            "0x1.25c11572f7ac7p+10", "0x1.25c11572f7ac7p+10", "0x1.89f893fc09533p+17",
+            "0x1.89f893fc09533p+17", "0x1.7f6d5c0147775p+874", "0x1.7f6d5c0147775p+874",
+            "0x1.0094096a92a5dp+10", "0x1.046f5208bfaf5p+15",
+        ),
+        65536: (
+            "0x1.0000000000036p+0", "0x1.000004cdcd446p+0", "0x1.000004cdcd446p+0",
+            "0x1.2cd9cd2ded7b1p+16", "0x1.2cd9cd2ded7b1p+16", "0x1.936d22f5da0d0p+23",
+            "0x1.936d22f5da0d0p+23", "0x1.88a122d234b39p+880", "0x1.88a122d234b39p+880",
+            "0x1.06c998cadfa97p+16", "0x1.0aaf728100ceep+21",
+        ),
+        65537: (
+            "0x1.0000000000001p+0", "0x1.000004cdd6dadp+0", "0x1.000004cdd6dadp+0",
+            "0x1.2cdafa07e9c05p+16", "0x1.2cdafa07e9c05p+16", "0x1.936eb662fd036p+23",
+            "0x1.936eb662fd036p+23", "0x1.88a2ab735785dp+880", "0x1.88a2ab735785dp+880",
+            "0x1.06ca9f94ac7fap+16", "0x1.0ab07d30735f4p+21",
+        ),
+    }
+
+    @pytest.mark.parametrize("jj", list(HEX))
+    def test_pinned_hex(self, jj):
+        got = [r.gap.hex() for r in spectral_gaps(SpinJ(2 * jj), self.GAMMAS)]
+        assert got == list(self.HEX[jj])
+        assert spectral_gap(SpinJ(2 * jj), self.GAMMAS[3]).gap.hex() == self.HEX[jj][3]
+
+    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536])
+    def test_factors_equal_the_one_row_build(self, jj):
+        jv = SpinJ(2 * jj)
+        rows = _batch_rows(jj)
+        for s in range(0, len(self.GAMMAS), rows):
+            batch = self.GAMMAS[s:s + rows]
+            d, l = eigensolve._gap_ldl_factors(jv, batch)
+            for r, g in enumerate(batch):
+                d1, l1 = ldl_factors_one_row(jv, g)
+                assert np.array_equal(d[r], d1) and np.array_equal(l[r], l1)
