@@ -7,8 +7,7 @@
   measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7.
   The cells of one J run as one batch: their factors are built together,
   one array operation for all cells, and stacked into one block-diagonal
-  matrix, so each step is one LAPACK dpttrs solve for every cell that has
-  not settled; a cell leaves the batch at the step where it settles.
+  matrix, so each step is one LAPACK dpttrs solve for all cells.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
@@ -166,22 +165,19 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
 
     The cells' factors are the rows of (nb, J) arrays d and l, with l = 0
     at the end of each row, so the stacked block-diagonal matrix decouples
-    and each step is one LAPACK dpttrs solve y = A^-1 x for all active
-    cells; the solve rounds each block exactly as it would alone.  Each
-    block's inverse is entrywise positive, so y stays positive and every sum
-    in the solve and in the dot products adds positive terms.  Per row, the
-    Rayleigh quotient rho = x.y / y.y of y never rises in exact arithmetic,
-    and the row's gap is taken at the first step where rho falls by at most
-    2 eps relative.  That row then leaves the batch: the last unsettled rows
-    move into the settled rows' slots and d, l, x and y keep their first
-    rows, so later steps solve only the unsettled rows; rows maps each
-    active row to its index in gammas.  Each row of d is first scaled by an
-    exact power of two so that its smallest entry, an upper bound on the
-    smallest eigenvalue, lies in [1/2, 1): y.y then stays in float64 range.
-    A row takes 8-11 steps at gamma = 0 and about 27 at large J and
-    gamma != 0, where lambda_1/lambda_0 is about 2.  Raises NotConverged,
-    naming the first unsettled gamma in the order of gammas, after
-    _INVIT_MAX_STEPS steps.
+    and each step is one LAPACK dpttrs solve y = A^-1 x for all cells; the
+    solve rounds each block exactly as it would alone.  Each block's inverse
+    is entrywise positive, so y stays positive and every sum in the solve
+    and in the dot products adds positive terms.  Per row, the Rayleigh
+    quotient rho = x.y / y.y of y never rises in exact arithmetic, and the
+    row's gap is taken at the first step where rho falls by at most 2 eps
+    relative; a settled row stays in the solve until the last row settles.
+    Each row of d is first scaled by an exact power of two so that its
+    smallest entry, an upper bound on the smallest eigenvalue, lies in
+    [1/2, 1): y.y then stays in float64 range.  A row takes 8-11 steps at
+    gamma = 0 and about 27 at large J and gamma != 0, where
+    lambda_1/lambda_0 is about 2.  Raises NotConverged, naming the first
+    unsettled gamma, after _INVIT_MAX_STEPS steps.
     """
     d, l = _gap_ldl_factors(j, gammas)
     nb, n = d.shape
@@ -194,33 +190,22 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     scale = np.full(nb, 1.0 / math.sqrt(n))  # each row of x * scale has unit norm
     rho_old = np.full(nb, math.inf)
     gaps = np.empty(nb)
-    rows = np.arange(nb)
+    done = np.zeros(nb, dtype=bool)
     d_flat, l_flat = d.ravel(), l.ravel()[:-1]
     for _ in range(_INVIT_MAX_STEPS):
         np.multiply(x, scale[:, None], out=y)
-        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(-1, n)
+        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
         yy = np.vecdot(y, y)
         rho = scale * np.vecdot(x, y) / yy
-        now = rho_old - rho <= 2.0 * _EPS * rho
-        done = np.count_nonzero(now)
-        if done:
-            gaps[rows[now]] = np.ldexp(rho[now], k[now])
-            m = rows.size - done
-            if m == 0:
-                return gaps
-            # In place: only the moved rows are copied, so no second set of
-            # row arrays is alive and the memory stays that of the first step.
-            # x is not moved: it is only the next step's output buffer.
-            holes = np.flatnonzero(now[:m])
-            movers = m + np.flatnonzero(~now[m:])
-            for a in (rows, k, rho, yy, d, l, y):
-                a[holes] = a[movers]
-            rows, k, rho, yy, d, l, x, y = (a[:m] for a in (rows, k, rho, yy, d, l, x, y))
-            d_flat, l_flat = d.ravel(), l.ravel()[:-1]
+        now = ~done & (rho_old - rho <= 2.0 * _EPS * rho)
+        gaps[now] = np.ldexp(rho[now], k[now])
+        done |= now
+        if done.all():
+            return gaps
         rho_old = rho
         x, y = y, x
         scale = 1.0 / np.sqrt(yy)
-    raise NotConverged(f"J={j}, gamma={gammas[rows.min()]!r}: "
+    raise NotConverged(f"J={j}, gamma={gammas[int(np.argmin(done))]!r}: "
                        f"inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")
 
 

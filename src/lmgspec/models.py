@@ -166,13 +166,14 @@ def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:
 
     Indices m, m' = -J .. -1 ascending; diagonal m^2 cosh(2g), off-diagonals
     proportional to sinh(2g) with opposite signs above and below.  Must agree
-    entrywise with the slice produced by extract_hn_blocks.
+    entrywise with extract_hn_blocks' slice, so it takes build_nonhermitian's guard.
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("H- is defined for integer J")
     jj = j.two_j // 2
     if jj < 1:
         raise NotIntegerSpin("H- needs J >= 1")
+    _check_gamma(j, gamma)
     c2, s2 = math.cosh(2.0 * gamma), math.sinh(2.0 * gamma)
     m = np.arange(-jj, 0, dtype=float)
     alpha = m * m * c2
@@ -231,7 +232,8 @@ def chain_magnitudes(j: SpinJ, start: int = 0, stop=None) -> np.ndarray:
     return 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
 
 
-def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.ndarray:
+@np.errstate(over="raise")
+def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
     """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
 
     e_i = v_m e^(-g) for even i and v_m e^(+g) for odd i, with m = i - J,
@@ -240,9 +242,14 @@ def supercharge_chain(j: SpinJ, gamma: float, start: int = 0, stop=None) -> np.n
     block build_supercharges slices, walked in Golub-Kahan order.
     The zero-diagonal tridiagonal with this off-diagonal has eigenvalues
     +-sigma_k of that block (and 0 for integer J).
-    start and stop select the entries e_start .. e_(stop-1) (default: all).
+    NonFiniteInput for a NaN or infinite gamma, OverflowRisk past float64.
     """
-    e = chain_magnitudes(j, start, stop)
-    e[start % 2::2] *= math.exp(-gamma)
-    e[1 - start % 2::2] *= math.exp(gamma)
+    if not math.isfinite(gamma):
+        raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
+    e = chain_magnitudes(j)
+    try:
+        e[0::2] *= math.exp(-gamma)
+        e[1::2] *= math.exp(gamma)
+    except (OverflowError, FloatingPointError):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the chain overflows float64") from None
     return e

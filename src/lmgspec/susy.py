@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import DimensionMismatch, EmptySpectrum, NotIntegerSpin
+from .errors import DimensionMismatch, EmptySpectrum, NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .models import supercharge_chain, susy_sector_blocks
 from .spin import SpinJ, build_spin_operators
 
@@ -51,6 +51,7 @@ def susy_sorted_hamiltonian(j: SpinJ, gamma: float) -> np.ndarray:
     return block_diag(zero_sector.to_dense(), gap_sector.to_dense())
 
 
+@np.errstate(over="raise")
 def build_supercharges(j: SpinJ, gamma: float) -> Supercharges:
     """Supercharge pair for integer J.
 
@@ -59,12 +60,17 @@ def build_supercharges(j: SpinJ, gamma: float) -> Supercharges:
     gap-sector columns), i.e. the even basis indices i = m + J against the
     odd ones, with the gap-sector columns taken in reversed m order; the
     reversal is what makes q1^2 equal the sorted Hamiltonian in both sectors
-    simultaneously.
+    simultaneously.  NonFiniteInput for a NaN or infinite gamma, OverflowRisk past float64.
     """
     if not j.is_integer_spin():
         raise NotIntegerSpin("supercharges require integer J (even particle number)")
+    if not math.isfinite(gamma):
+        raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
     s = build_spin_operators(j)
-    m1t = math.cosh(gamma) * s.jx + math.sinh(gamma) * s.ky
+    try:
+        m1t = math.cosh(gamma) * s.jx + math.sinh(gamma) * s.ky
+    except (OverflowError, FloatingPointError):
+        raise OverflowRisk(f"J={j}, gamma={gamma!r}: the supercharges overflow float64") from None
     dim = j.dim
     x = m1t[np.ix_(np.arange(0, dim, 2), np.arange(dim - 2, 0, -2))]
     k = x.shape[0]
@@ -187,11 +193,13 @@ def classify_spectrum(eigs, j: SpinJ, tol: float = 1e-8) -> SpectrumReport:
     SusyPattern requires integer J, exactly one eigenvalue within the scaled
     zero tolerance, and every remaining eigenvalue paired with relative split
     <= tol.  Half-integer spectra pair completely (time-reversal doublets)
-    but have no zero mode, hence SusyBroken.
+    but have no zero mode, hence SusyBroken.  NonFiniteInput on a NaN or inf.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise EmptySpectrum("no eigenvalues to classify")
+    if not np.isfinite(eigs).all():
+        raise NonFiniteInput("eigenvalues must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if np.any(np.diff(eigs) < 0):

@@ -16,12 +16,14 @@ from conftest import (
 )
 from lmgspec import (
     ModelParams,
+    NonFiniteInput,
     NotIntegerSpin,
     OverflowRisk,
     SpinJ,
     build_factorized,
     build_lmg_general,
     build_nonhermitian,
+    build_supercharges,
     build_susy_rotated,
     eig_dense_symmetric,
     extract_hn_blocks,
@@ -33,6 +35,7 @@ from lmgspec import (
 )
 from lmgspec import models
 from lmgspec.cli import main
+from lmgspec.models import chain_magnitudes
 
 GAMMAS = [0.0, 0.3, -0.7, 1.5]
 
@@ -212,11 +215,12 @@ class TestSectorBlocks:
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("two_j", [3, 8, 21])
-    def test_supercharge_chain_range(self, two_j):
+    def test_chain_magnitudes_range(self, two_j):
         jv = SpinJ(two_j)
-        full = supercharge_chain(jv, 0.6)
+        full = chain_magnitudes(jv)
+        assert np.array_equal(full, supercharge_chain(jv, 0.0))
         for start, stop in ((0, two_j), (1, 3), (2, 3), (two_j - 1, two_j)):
-            assert np.array_equal(supercharge_chain(jv, 0.6, start, stop), full[start:stop])
+            assert np.array_equal(chain_magnitudes(jv, start, stop), full[start:stop])
 
     def test_zero_sector_holds_zero_mode(self):
         jv = SpinJ(10)
@@ -232,3 +236,44 @@ class TestSectorBlocks:
             susy_sector_blocks(SpinJ(5), 0.5)
         with pytest.raises(NotIntegerSpin):
             gap_sector_tridiag(SpinJ(0), 0.5)
+
+
+# name: (builder, the arrays of its output)
+GUARDED = {
+    "supercharge_chain": (supercharge_chain, lambda e: [e]),
+    "build_supercharges": (build_supercharges, lambda s: [s.q1, s.r2]),
+    "h_minus_elements": (h_minus_elements, lambda t: [t.to_dense()]),
+}
+
+
+class TestGammaGuard:
+    """The (J, gamma) builders answer a gamma they cannot represent with an
+    LmgError, never a NaN, an inf or a bare OverflowError."""
+
+    @pytest.mark.parametrize("name, two_j, g, error", [
+        *[(name, 2, g, NonFiniteInput)
+          for name in GUARDED for g in (math.nan, math.inf, -math.inf)],
+        *[(name, 2, g, OverflowRisk) for name in GUARDED for g in (800.0, -800.0)],
+        ("h_minus_elements", 2 * 10**6, 345.0, OverflowRisk),
+        ("supercharge_chain", 2 * 10**6, 705.0, OverflowRisk),
+    ])
+    def test_raises(self, name, two_j, g, error):
+        with pytest.raises(error):
+            GUARDED[name][0](SpinJ(two_j), g)
+
+    # A gamma just inside each builder's range, and one 0.01 past it: the
+    # chain and the supercharges stop where an entry overflows, and
+    # h_minus_elements where build_nonhermitian, of which it is a slice, does.
+    @pytest.mark.parametrize("name, two_j, edge", [
+        ("supercharge_chain", 2, 709.78),
+        ("supercharge_chain", 2 * 10**6, 696.66),
+        ("build_supercharges", 2, 710.12),
+        ("build_supercharges", 20, 708.12),
+        ("h_minus_elements", 2, 354.89),
+    ])
+    def test_edge(self, name, two_j, edge):
+        build, arrays = GUARDED[name]
+        for g in (edge, -edge):
+            assert all(np.isfinite(a).all() for a in arrays(build(SpinJ(two_j), g)))
+            with pytest.raises(OverflowRisk):
+                build(SpinJ(two_j), g + math.copysign(0.01, g))

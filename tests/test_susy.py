@@ -7,6 +7,7 @@ from conftest import ref_q1_j2, ref_r2_j2, ref_sorted_h_j2
 from lmgspec import (
     DimensionMismatch,
     EmptySpectrum,
+    NonFiniteInput,
     NotIntegerSpin,
     OverflowRisk,
     SpinJ,
@@ -163,6 +164,11 @@ class TestClassifySpectrum:
             classify_spectrum(np.array([1.0, 0.0]), SpinJ(2))
         with pytest.raises(ValueError):
             classify_spectrum(np.array([0.0, 1.0]), SpinJ(2), tol=0.0)
+
+    @pytest.mark.parametrize("eigs", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_eigenvalue_raises(self, eigs):
+        with pytest.raises(NonFiniteInput):
+            classify_spectrum(eigs, SpinJ(2))
 
     @pytest.mark.parametrize("two_j", [2, 6, 10, 20])
     def test_real_integer_spectra(self, two_j):
