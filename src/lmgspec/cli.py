@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -384,9 +385,22 @@ def _add_common(p, *optional, gamma_single=False):
         p.add_argument("--" + name, **_OPTIONAL_FLAGS[name])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading any token that starts with "-" and a digit, "-."
+    and a digit, "-inf" or "-nan" as a value rather than a flag: its own
+    negative-number pattern has no exponent and no comma list, so
+    "--gamma -1e-05" and "--gamma -0.5,1" failed with "expected one
+    argument".  No flag here starts with a digit, "inf" or "nan".
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmg",
         description="Spectral analysis of the antiferromagnetic LMG model",
     )

@@ -4,7 +4,7 @@
   factors of the gap-sector block X^T X (X the supercharge's bidiagonal
   block) that are built from the chain with positive terms only, so the gap
   keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
-  measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and 5.5e-12 at J = 1e7.
+  measured 3.3e-15 at J = 1000, 4.0e-14 at J = 1e6 and 5.5e-12 at J = 1e7.
   The cells of one J run as one batch: their factors are built together,
   one array operation for all cells, and stacked into one block-diagonal
   matrix, so each step is one LAPACK dpttrs solve for all cells.
@@ -75,9 +75,10 @@ _LDL_CHUNK = 1 << 16
 
 
 def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
-    """(d, l), (nb, J) arrays whose row r holds the LDL^T factors of the
+    """(d, l, x), (nb, J) arrays whose row r holds the LDL^T factors of the
     gap-sector block X^T X at -|gammas[r]|, similarity-signed so that every
-    d_k > 0 and every l_k < 0, and l[r, J-1] = 0.
+    d_k > 0 and every l_k < 0, and l[r, J-1] = 0, and the start vector of
+    that row's inverse iteration.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -90,28 +91,39 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     stays bounded.  Every operation adds or multiplies positive numbers, so
     each factor is accurate to a few ulps relative.
 
+    The start vector is x_0 = 1, x_(k+1) = x_k b_k / a_k, floored at eps:
+    x_k = psi_0 / psi_k, the reciprocal of the zero mode, whose ratios
+    psi_(k+1) / psi_k = a_k / b_k the build forms anyway.  At gamma != 0 it
+    holds its mass at the start of the block, where the gap vector does, so
+    inverse iteration settles in about half the steps it takes from a flat
+    vector.  The floor keeps subnormals out of the solves, which they slow
+    several-fold.
+
     All rows are built at once.  The chain at -|gamma| is the gamma-free
     chain v (models.chain_magnitudes) times e^|gamma| on a and e^-|gamma|
     on b, so v is built once per chunk and each array operation covers
     every row.  The recurrence for u is one unit lower bidiagonal solve
     (LAPACK dtbtrs) over the stacked rows, with coupling 0 at each row
     start, so it rounds each row as it would alone.  One row goes in column
-    chunks of _LDL_CHUNK that carry u_(k-1) across chunk boundaries; a batch
-    of several rows is one chunk, at most _LDL_CHUNK wide in all through
-    _batch_rows.  a and b are recomputed from v where they are needed
-    rather than stored: apart from d and l, the only buffer the size of the
-    batch is the dtbtrs band, whose row 0, the unit diagonal that dtbtrs
-    does not read, holds a_(k+1) for l.  So the build holds no more memory
-    than the iteration that follows.
+    chunks of _LDL_CHUNK that carry u_(k-1) and x_k across chunk
+    boundaries, so that x is one running product, as an unchunked cumprod
+    rounds it; a batch of several rows is one chunk, at most _LDL_CHUNK
+    wide in all through _batch_rows.  a and b are recomputed from v where
+    they are needed rather than stored: apart from d, l and x, the only
+    buffer the size of the batch is the dtbtrs band, whose row 0, the unit
+    diagonal that dtbtrs does not read, holds a_(k+1) for l.  So the build
+    holds at most _LDL_CHUNK doubles more than the iteration that follows.
     """
     n, nb = j.two_j // 2, len(gammas)
     d = np.empty((nb, n))
     l = np.empty((nb, n))
+    x = np.empty((nb, n))
     up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
     down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
     width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
     band = np.empty((2, nb * width), order="F")
     u_prev = np.zeros(nb)
+    x_next = np.ones(nb)
     for s in range(0, n, width):
         t = min(n, s + width)
         size = t - s
@@ -124,7 +136,13 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         a_next, sub = ab[0].reshape(nb, size), ab[1].reshape(nb, size)
         np.multiply(vb, down, out=lk)
         np.multiply(va[:size], up, out=dk)
-        np.divide(lk, dk, out=dk)
+        np.divide(lk, dk, out=dk)      # b_k / a_k
+        xk = x[:, s:t]
+        xk[:, 0] = x_next
+        xk[:, 1:] = dk[:, :-1]
+        np.cumprod(xk, axis=1, out=xk)  # x_(k+1) = x_k b_k / a_k
+        x_next = xk[:, -1] * dk[:, -1]
+        np.maximum(xk, _EPS, out=xk)
         np.square(dk, out=dk)          # c_k
         np.negative(dk[:, 1:], out=sub[:, :-1])
         sub[:, -1] = 0.0               # rows do not couple
@@ -147,10 +165,34 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         lk[:, :k] /= dk[:, :k]
         np.negative(lk[:, :k], out=lk[:, :k])
     l[:, -1] = 0.0
-    return d, l
+    return d, l, x
 
 
 _INVIT_MAX_STEPS = 100
+_DOT_CHUNK = 8192
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_r . y_r for each row r of two (nb, n) arrays.
+
+    Rows longer than _DOT_CHUNK are summed as np.vecdot over fixed
+    _DOT_CHUNK-wide column chunks, each row chunked from its own start, and
+    the chunk sums are added by np.add.reduce along the row.  A chunk is one
+    short OpenBLAS ddot call, which OpenBLAS runs on one thread, so the bits
+    do not depend on the BLAS thread count: measured identical at 1 and 2
+    threads at shapes (1, 10^6), (1, 10^7), (1, 65536) and (3, 20001),
+    where np.vecdot over whole rows is not.  A batch rounds each row as a
+    one-row call does.
+    """
+    nb, n = x.shape
+    if n <= _DOT_CHUNK:
+        return np.vecdot(x, y)
+    full = n - n % _DOT_CHUNK
+    parts = np.vecdot(x[:, :full].reshape(nb, -1, _DOT_CHUNK),
+                      y[:, :full].reshape(nb, -1, _DOT_CHUNK))
+    if full < n:
+        parts = np.column_stack([parts, np.vecdot(x[:, full:], y[:, full:])])
+    return np.add.reduce(parts, axis=1)
 
 
 def _batch_rows(n: int) -> int:
@@ -161,33 +203,35 @@ def _batch_rows(n: int) -> int:
 
 def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     """Spectral gaps for integer J >= 1, one per gamma, by inverse iteration
-    on the LDL^T factors of _gap_ldl_factors.
+    on the LDL^T factors of _gap_ldl_factors, from its start vectors x.
 
     The cells' factors are the rows of (nb, J) arrays d and l, with l = 0
     at the end of each row, so the stacked block-diagonal matrix decouples
     and each step is one LAPACK dpttrs solve y = A^-1 x for all cells; the
     solve rounds each block exactly as it would alone.  Each block's inverse
-    is entrywise positive, so y stays positive and every sum in the solve
-    and in the dot products adds positive terms.  Per row, the Rayleigh
-    quotient rho = x.y / y.y of y never rises in exact arithmetic, and the
-    row's gap is taken at the first step where rho falls by at most 2 eps
-    relative; a settled row stays in the solve until the last row settles.
-    Each row of d is first scaled by an exact power of two so that its
-    smallest entry, an upper bound on the smallest eigenvalue, lies in
-    [1/2, 1): y.y then stays in float64 range.  A row takes 8-11 steps at
-    gamma = 0 and about 27 at large J and gamma != 0, where
-    lambda_1/lambda_0 is about 2.  Raises NotConverged, naming the first
-    unsettled gamma, after _INVIT_MAX_STEPS steps.
+    is entrywise positive and x > 0, so y stays positive and every sum in
+    the solve and in the dot products (_row_dots) adds positive terms.  Per
+    row, the Rayleigh quotient rho = x.y / y.y of y is an upper bound on
+    the smallest eigenvalue that never rises in exact arithmetic; the row
+    settles at the first step where rho falls by at most 2 eps relative,
+    and its gap is the smaller of that step's rho and the one before.  A
+    settled row stays in the solve until the last row settles.  Each row of
+    d is first scaled by an exact power of two so that its smallest entry,
+    an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y then
+    stays in float64 range.  From the zero mode's reciprocal a row takes
+    13-15 steps at J = 10^6 and gamma != 0, where lambda_1/lambda_0 is
+    about 2, against 27-28 from a flat vector, and 2-12 at gamma = 0.
+    Raises NotConverged, naming the first unsettled gamma, after
+    _INVIT_MAX_STEPS steps.
     """
-    d, l = _gap_ldl_factors(j, gammas)
+    d, l, x = _gap_ldl_factors(j, gammas)
     nb, n = d.shape
     if n == 1:  # a 1x1 block is its eigenvalue; a lone dpttrs solve rounds unlike a batch
         return d[:, 0]
     k = np.frexp(np.min(d, axis=1))[1]
     np.ldexp(d, -k[:, None], out=d)
-    x = np.ones((nb, n))
     y = np.empty((nb, n))
-    scale = np.full(nb, 1.0 / math.sqrt(n))  # each row of x * scale has unit norm
+    scale = 1.0 / np.sqrt(_row_dots(x, x))  # each row of x * scale has unit norm
     rho_old = np.full(nb, math.inf)
     gaps = np.empty(nb)
     done = np.zeros(nb, dtype=bool)
@@ -195,10 +239,10 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     for _ in range(_INVIT_MAX_STEPS):
         np.multiply(x, scale[:, None], out=y)
         y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
-        yy = np.vecdot(y, y)
-        rho = scale * np.vecdot(x, y) / yy
+        yy = _row_dots(y, y)
+        rho = scale * _row_dots(x, y) / yy
         now = ~done & (rho_old - rho <= 2.0 * _EPS * rho)
-        gaps[now] = np.ldexp(rho[now], k[now])
+        gaps[now] = np.ldexp(np.minimum(rho, rho_old)[now], k[now])
         done |= now
         if done.all():
             return gaps
@@ -339,7 +383,7 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
     block, by inverse iteration on its relatively accurate LDL^T factors
     (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory.
-    |gap(J, 0) - 1| measured 4.0e-15 at J = 1000, 1.7e-13 at J = 1e6 and
+    |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 4.0e-14 at J = 1e6 and
     5.5e-12 at J = 1e7.  method="dense" diagonalizes the block densely
     (J <= 200 only).
     The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.

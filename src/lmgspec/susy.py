@@ -193,15 +193,16 @@ def classify_spectrum(eigs, j: SpinJ, tol: float = 1e-8) -> SpectrumReport:
     SusyPattern requires integer J, exactly one eigenvalue within the scaled
     zero tolerance, and every remaining eigenvalue paired with relative split
     <= tol.  Half-integer spectra pair completely (time-reversal doublets)
-    but have no zero mode, hence SusyBroken.  NonFiniteInput on a NaN or inf.
+    but have no zero mode, hence SusyBroken.  NonFiniteInput on a NaN or inf
+    eigenvalue; ValueError unless 0 < tol < inf.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         raise EmptySpectrum("no eigenvalues to classify")
     if not np.isfinite(eigs).all():
         raise NonFiniteInput("eigenvalues must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
     scale = max(1.0, float(np.max(np.abs(eigs))))

@@ -165,6 +165,16 @@ def ldl_factors_one_row(j: SpinJ, gamma: float) -> tuple:
     return d, l
 
 
+def invit_start_one_row(j: SpinJ, gamma: float) -> np.ndarray:
+    """The start vector that eigensolve._gap_ldl_factors builds for the gap's
+    inverse iteration at one gamma, in one unchunked cumprod: x_0 = 1,
+    x_(k+1) = x_k b_k / a_k with a, b as in ldl_factors_one_row, so x is
+    proportional to 1/psi for the zero mode X^T psi = 0, floored at eps."""
+    e = supercharge_chain(j, -abs(gamma))
+    x = np.cumprod(np.concatenate([[1.0], e[1::2][:-1] / e[0::2][:-1]]))
+    return np.maximum(x, np.finfo(float).eps)
+
+
 # ------------------------------------------------- J=2 reference matrices
 
 def ref_sorted_h_j2(g: float) -> np.ndarray:

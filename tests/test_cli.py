@@ -515,6 +515,23 @@ class TestFlags:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("gamma", ["-1e-05", "-2.5E+00", "-1e-05,0.5", "-.5"])
+    def test_negative_gamma_in_scientific_notation_is_a_value(self, capsys, gamma):
+        # argparse's own negative-number pattern has no exponent or list
+        code, out, err = run(capsys, "gap-scan", "--j-list", "2", "--gamma", gamma)
+        assert code == 0 and err == ""
+        assert [r["gamma"] for r in csv_rows(out)[1]] == [
+            cli.fmt(float(g)) for g in gamma.split(",")]
+        if "," not in gamma:
+            code, out, err = run(capsys, "susy-check", "--j", "2", "--gamma", gamma)
+            assert code == 0 and out.splitlines()[-1] == "verdict: SusyPattern"
+
+    @pytest.mark.parametrize("gamma", ["-inf", "-NaN,0.5"])
+    def test_negative_non_finite_gamma_is_one_error_line(self, capsys, gamma):
+        code, out, err = run(capsys, "gap-scan", "--j-list", "5", "--gamma", gamma)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --gamma: not finite") and err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--j", "2", "--gamma", "0"],

@@ -10,13 +10,14 @@ from conftest import (
     charpoly_dense,
     diagonal_lower_bound,
     gap_closed_form_j2,
+    invit_start_one_row,
     ldl_factors_one_row,
     sign_canonical,
     supercharge_sigma_min,
     symmetrize_tridiag,
 )
 from lmgspec import eigensolve
-from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration
+from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration, _gap_ldl_factors
 from lmgspec import (
     CharPoly,
     DimensionMismatch,
@@ -337,6 +338,37 @@ class TestGapInverseIteration:
         asymptote = jj * math.sinh(2 * abs(g)) - 0.5 * math.exp(-2 * abs(g))
         assert abs(spectral_gap(SpinJ(2 * jj), g).gap - asymptote) <= 1.0 / jj
 
+    @staticmethod
+    def steps(monkeypatch, jj, gammas):
+        """dpttrs solves, one per step, that one batch takes to settle."""
+        calls = []
+        inner = eigensolve.dpttrs
+        monkeypatch.setattr(eigensolve, "dpttrs",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
+        _gap_inverse_iteration(SpinJ(2 * jj), gammas)
+        return len(calls)
+
+    @pytest.mark.parametrize("g, most", [(0.8, 17), (-1.5, 17), (0.0, 9)])
+    def test_steps_at_large_j(self, monkeypatch, g, most):
+        # From the zero mode's reciprocal: 15, 13 and 7 steps (27, 27 and 9
+        # from the all-ones vector)
+        assert self.steps(monkeypatch, 10**5, [g]) <= most
+
+    def test_steps_of_a_batch(self, monkeypatch):
+        # 16 steps (28 from the all-ones vector), all 50 cells in one batch
+        assert _batch_rows(1000) >= 50
+        assert self.steps(monkeypatch, 1000, np.linspace(0.05, 3.0, 50).tolist()) <= 20
+
+    @pytest.mark.parametrize("jj", [2, 1000, 65537])
+    def test_start_row(self, jj):
+        # At J = 65537 a row spans two column chunks; at |gamma| = 300 the
+        # product b_k / a_k leaves float64 after two factors.
+        jv = SpinJ(2 * jj)
+        for g in (0.0, 0.5, -0.5, 300.0, -300.0):
+            x = _gap_ldl_factors(jv, [g])[2][0]
+            assert x[0] == 1.0 and np.isfinite(x).all() and x.min() >= np.finfo(float).eps
+            assert np.array_equal(x, invit_start_one_row(jv, g))
+
     def test_j1(self):
         jv = SpinJ(2)
         for g in (0.0, 0.4, -2.0):
@@ -398,9 +430,10 @@ class TestSpectralGaps:
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 1)
         with pytest.raises(NotConverged, match="gamma=0.0"):
             spectral_gaps(SpinJ(10), [0.0, 0.5])
-        # At J = 10, gamma = 0 settles at step 9 and gamma = 0.5 at step 30:
-        # after 12 steps the error names the first gamma not yet settled.
-        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 12)
+        # At J = 20, gamma = 0 settles at step 12, 0.7 at step 15 and 0.5 at
+        # step 16: after 13 steps the error names the first gamma not yet
+        # settled.
+        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 13)
         with pytest.raises(NotConverged, match="gamma=0.5"):
             spectral_gaps(SpinJ(20), [0.0, 0.5])
         with pytest.raises(NotConverged, match="gamma=0.7"):
@@ -423,10 +456,12 @@ class TestSpectralGaps:
 
 
 class TestGapBits:
-    """The gaps' exact bits, recorded from the per-row factor build that the
-    batched one replaced: a change in rounding shows here even where batch
-    and single calls still agree with each other.  gamma = 0.45 and -2.1
-    are values where the array np.exp is an ulp off math.exp."""
+    """The gaps' exact bits: a change in rounding shows here even where
+    batch and single calls still agree with each other.  Recorded from
+    inverse iteration started at the zero mode's reciprocal, and the same
+    at 1 and 2 BLAS threads, since no dot product depends on the thread
+    count (eigensolve._row_dots).  gamma = 0.45 and -2.1 are values where
+    the array np.exp is an ulp off math.exp."""
 
     GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 300.0, -300.0, 0.45, -2.1]
     HEX = {
@@ -438,39 +473,39 @@ class TestGapBits:
         ),
         2: (
             "0x1.0000000000000p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0",
-            "0x1.1f946412861cfp+1", "0x1.1f946412861cfp+1", "0x1.936bde1a90079p+8",
-            "0x1.936bde1a90079p+8", "0x1.88a122d234b3cp+865", "0x1.88a122d234b3cp+865",
-            "0x1.ff515197449c8p+0", "0x1.0a90dc43a1461p+6",
+            "0x1.1f946412861cfp+1", "0x1.1f946412861cfp+1", "0x1.936bde1a9007ep+8",
+            "0x1.936bde1a9007ep+8", "0x1.88a122d234b39p+865", "0x1.88a122d234b39p+865",
+            "0x1.ff515197449ccp+0", "0x1.0a90dc43a1462p+6",
         ),
         5: (
-            "0x1.0000000000001p+0", "0x1.0000000000009p+0", "0x1.0000000000009p+0",
-            "0x1.642e5d081d434p+2", "0x1.642e5d081d434p+2", "0x1.f84831afaf32ap+9",
+            "0x1.0000000000000p+0", "0x1.0000000000008p+0", "0x1.0000000000008p+0",
+            "0x1.642e5d081d437p+2", "0x1.642e5d081d437p+2", "0x1.f84831afaf32ap+9",
             "0x1.f84831afaf32ap+9", "0x1.eac96b86c1e08p+866", "0x1.eac96b86c1e08p+866",
-            "0x1.3224d96f0f3ebp+2", "0x1.4d55d2ff5be1ep+7",
+            "0x1.3224d96f0f3eap+2", "0x1.4d55d2ff5be1dp+7",
         ),
         30: (
-            "0x1.0000000000001p+0", "0x1.000000000011ap+0", "0x1.000000000011ap+0",
-            "0x1.187c2b2d09887p+5", "0x1.187c2b2d09887p+5", "0x1.7a364b6f19fafp+12",
-            "0x1.7a364b6f19fafp+12", "0x1.701710a511686p+869", "0x1.701710a511686p+869",
-            "0x1.e94398cfab87ep+4", "0x1.f407f42f7e57cp+9",
+            "0x1.0000000000001p+0", "0x1.0000000000119p+0", "0x1.0000000000119p+0",
+            "0x1.187c2b2d09885p+5", "0x1.187c2b2d09885p+5", "0x1.7a364b6f19fadp+12",
+            "0x1.7a364b6f19fadp+12", "0x1.701710a511685p+869", "0x1.701710a511685p+869",
+            "0x1.e94398cfab87ep+4", "0x1.f407f42f7e57ep+9",
         ),
         1000: (
-            "0x1.0000000000012p+0", "0x1.0000000049602p+0", "0x1.0000000049602p+0",
-            "0x1.25c11572f7ac7p+10", "0x1.25c11572f7ac7p+10", "0x1.89f893fc09533p+17",
-            "0x1.89f893fc09533p+17", "0x1.7f6d5c0147775p+874", "0x1.7f6d5c0147775p+874",
-            "0x1.0094096a92a5dp+10", "0x1.046f5208bfaf5p+15",
+            "0x1.000000000000fp+0", "0x1.0000000049602p+0", "0x1.0000000049602p+0",
+            "0x1.25c11572f7ac4p+10", "0x1.25c11572f7ac4p+10", "0x1.89f893fc09531p+17",
+            "0x1.89f893fc09531p+17", "0x1.7f6d5c0147775p+874", "0x1.7f6d5c0147775p+874",
+            "0x1.0094096a92a5dp+10", "0x1.046f5208bfaf4p+15",
         ),
         65536: (
-            "0x1.0000000000036p+0", "0x1.000004cdcd446p+0", "0x1.000004cdcd446p+0",
-            "0x1.2cd9cd2ded7b1p+16", "0x1.2cd9cd2ded7b1p+16", "0x1.936d22f5da0d0p+23",
-            "0x1.936d22f5da0d0p+23", "0x1.88a122d234b39p+880", "0x1.88a122d234b39p+880",
+            "0x1.ffffffffffff3p-1", "0x1.000004cdcd426p+0", "0x1.000004cdcd426p+0",
+            "0x1.2cd9cd2ded7b2p+16", "0x1.2cd9cd2ded7b2p+16", "0x1.936d22f5da0cdp+23",
+            "0x1.936d22f5da0cdp+23", "0x1.88a122d234b39p+880", "0x1.88a122d234b39p+880",
             "0x1.06c998cadfa97p+16", "0x1.0aaf728100ceep+21",
         ),
         65537: (
-            "0x1.0000000000001p+0", "0x1.000004cdd6dadp+0", "0x1.000004cdd6dadp+0",
-            "0x1.2cdafa07e9c05p+16", "0x1.2cdafa07e9c05p+16", "0x1.936eb662fd036p+23",
-            "0x1.936eb662fd036p+23", "0x1.88a2ab735785dp+880", "0x1.88a2ab735785dp+880",
-            "0x1.06ca9f94ac7fap+16", "0x1.0ab07d30735f4p+21",
+            "0x1.000000000000cp+0", "0x1.000004cdd6da4p+0", "0x1.000004cdd6da4p+0",
+            "0x1.2cdafa07e9c03p+16", "0x1.2cdafa07e9c03p+16", "0x1.936eb662fd036p+23",
+            "0x1.936eb662fd036p+23", "0x1.88a2ab735785ep+880", "0x1.88a2ab735785ep+880",
+            "0x1.06ca9f94ac7fap+16", "0x1.0ab07d30735f3p+21",
         ),
     }
 
@@ -486,7 +521,8 @@ class TestGapBits:
         rows = _batch_rows(jj)
         for s in range(0, len(self.GAMMAS), rows):
             batch = self.GAMMAS[s:s + rows]
-            d, l = eigensolve._gap_ldl_factors(jv, batch)
+            d, l, x = _gap_ldl_factors(jv, batch)
             for r, g in enumerate(batch):
                 d1, l1 = ldl_factors_one_row(jv, g)
                 assert np.array_equal(d[r], d1) and np.array_equal(l[r], l1)
+                assert np.array_equal(x[r], invit_start_one_row(jv, g))

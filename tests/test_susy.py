@@ -1,5 +1,7 @@
 """Supercharges, superalgebra residuals, spectrum classification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,11 @@ class TestClassifySpectrum:
             classify_spectrum(np.array([1.0, 0.0]), SpinJ(2))
         with pytest.raises(ValueError):
             classify_spectrum(np.array([0.0, 1.0]), SpinJ(2), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_raises(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            classify_spectrum(np.array([0.0, 1.0, 1.0]), SpinJ(2), tol=tol)
 
     @pytest.mark.parametrize("eigs", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
     def test_non_finite_eigenvalue_raises(self, eigs):
