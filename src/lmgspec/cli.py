@@ -15,7 +15,8 @@ it stops at J = 2000.  The parser is built once per process; main
 dispatches to cmd_<command> by name at call time, so a replaced cmd_*
 function is the one that runs.
 
-Exit status: 0 = success, 1 = verification failure, 2 = usage/config error.
+Exit status: 0 = success, 1 = verification failure, 2 = usage/config error,
+an unwritable output path or a J too large to allocate.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .susy import classify_spectrum, verify_superalgebra_bands
 DENSE_DIM_LIMIT = 401           # dense-oracle guard (J <= 200)
 SUSY_CHECK_DIM_LIMIT = 4001     # dense H of susy-check (J <= 2000)
 SUSY_CHECK_CHARPOLY_MAX_J = 12
+ARRAY_DIM_LIMIT = np.iinfo(np.intp).max // 8    # elements of the largest float64 array
 
 
 class ConfigError(Exception):
@@ -62,10 +64,15 @@ def fmt(value) -> str:
 
 
 def parse_j(text: str) -> SpinJ:
+    """A J whose 2J + 1 doubles no numpy array can hold is a usage error."""
     try:
-        return SpinJ.from_j(text)
+        jv = SpinJ.from_j(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if jv.dim > ARRAY_DIM_LIMIT:
+        raise ConfigError(f"J={text}: 2J + 1 exceeds {ARRAY_DIM_LIMIT}, "
+                          "the largest float64 array size")
+    return jv
 
 
 def parse_j_values(text: str) -> list:
@@ -130,8 +137,6 @@ def emit(args, config: dict, header: list, rows: list, summary: dict, comments=(
 
 
 def emit_plot_script(path: str, command: str, csv_path, j_values) -> None:
-    if not csv_path:
-        raise ConfigError("--emit-plot needs --out (the script references the CSV file)")
     lines = [
         "# gnuplot script",
         'set datafile separator ","',
@@ -441,8 +446,10 @@ def main(argv=None) -> int:
     try:
         if [] in vars(args).values():  # argparse stores an explicit "--" value as []
             raise ConfigError("'--' is not an option value")
+        if getattr(args, "emit_plot", None) and not args.out:
+            raise ConfigError("--emit-plot needs --out (the script references the CSV file)")
         return command(args)
-    except (ConfigError, LmgError) as exc:
+    except (ConfigError, LmgError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

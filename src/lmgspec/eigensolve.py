@@ -37,8 +37,8 @@ from .errors import (
     NotSymmetric,
     OverflowRisk,
 )
-from .models import chain_magnitudes, gap_sector_tridiag
-from .spin import SpinJ
+from .models import gap_sector_tridiag
+from .spin import SpinJ, ladder
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
@@ -100,7 +100,7 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     several-fold.
 
     All rows are built at once.  The chain at -|gamma| is the gamma-free
-    chain v (models.chain_magnitudes) times e^|gamma| on a and e^-|gamma|
+    chain v (spin.ladder) times e^|gamma| on a and e^-|gamma|
     on b, so v is built once per chunk and each array operation covers
     every row.  The recurrence for u is one unit lower bidiagonal solve
     (LAPACK dtbtrs) over the stacked rows, with coupling 0 at each row
@@ -127,7 +127,7 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     for s in range(0, n, width):
         t = min(n, s + width)
         size = t - s
-        v = chain_magnitudes(j, 2 * s, min(2 * t + 1, 2 * n))
+        v = ladder(j, 2 * s, min(2 * t + 1, 2 * n))
         # a_s .. a_t (a_t only if t < n) and b_s .. b_(t-1) at gamma = 0,
         # copied once to contiguous arrays since each is read three times
         va, vb = v[0::2].copy(), v[1::2].copy()

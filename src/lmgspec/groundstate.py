@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .models import supercharge_chain
-from .spin import SpinJ
+from .spin import SpinJ, ladder
 
 __all__ = ["GroundState", "legendre_p", "ground_state"]
 
@@ -106,7 +106,7 @@ def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundSta
             # c_{m-1} = (m coth(g) c_m + v_m c_{m+1}) / v_{m-1} from c_{J+1} = 0,
             # run as the ratios rho_m = c_m / c_{m-1}, which cannot overflow
             m = np.arange(-jj, jj + 1.0)
-            v = 0.5 * np.sqrt(jj * (jj + 1.0) - m[:-1] * (m[:-1] + 1.0))
+            v = ladder(j)
             tv = (math.tanh(gamma) * v[jj:]).tolist() + [0.0]
             rho = accumulate(range(jj, 0, -1), initial=0.0,
                              func=lambda r, k: tv[k - 1] / (k + tv[k] * r))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput, NotIntegerSpin, OverflowRisk
-from .spin import SpinJ, build_spin_operators
+from .spin import SpinJ, build_spin_operators, ladder
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
@@ -224,20 +224,12 @@ def gap_sector_tridiag(j: SpinJ, gamma: float) -> SymTridiag:
     return susy_sector_blocks(j, gamma)[1]
 
 
-def chain_magnitudes(j: SpinJ, start: int = 0, stop=None) -> np.ndarray:
-    """supercharge_chain at gamma = 0: v_m = sqrt((J-m)(J+m+1))/2 with
-    m = i - J for i = start .. stop-1 (default: all, i < 2J)."""
-    jj = j.two_j / 2.0
-    m = np.arange(start, j.two_j if stop is None else stop) - jj
-    return 0.5 * np.sqrt((jj - m) * (jj + m + 1.0))
-
-
 @np.errstate(over="raise")
 def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
     """Off-diagonal chain of the supercharge M = Jx cosh(g) + Ky sinh(g), m order.
 
-    e_i = v_m e^(-g) for even i and v_m e^(+g) for odd i, with m = i - J,
-    v_m = sqrt((J-m)(J+m+1))/2 and i = 0 .. 2J-1: the entries of M that
+    e_i = v_i e^(-g) for even i and v_i e^(+g) for odd i, with v the spin
+    ladder and i = m + J = 0 .. 2J-1: the entries of M that
     couple the m = -J (mod 2) rows to the other columns, i.e. the bidiagonal
     block build_supercharges slices, walked in Golub-Kahan order.
     The zero-diagonal tridiagonal with this off-diagonal has eigenvalues
@@ -246,7 +238,7 @@ def supercharge_chain(j: SpinJ, gamma: float) -> np.ndarray:
     """
     if not math.isfinite(gamma):
         raise NonFiniteInput(f"gamma must be finite, got {gamma!r}")
-    e = chain_magnitudes(j)
+    e = ladder(j)
     try:
         e[0::2] *= math.exp(-gamma)
         e[1::2] *= math.exp(gamma)

@@ -20,6 +20,7 @@ __all__ = [
     "SpinJ",
     "SpinOperators",
     "build_spin_operators",
+    "ladder",
     "mat_exp_scaled",
 ]
 
@@ -78,20 +79,24 @@ class SpinOperators:
     jz: np.ndarray   # diagonal, entries m
 
 
-def _ladder_half(j: SpinJ) -> np.ndarray:
-    """Entries (1/2)*sqrt(J(J+1) - m(m+1)) for m = -J .. J-1 (Condon-Shortley)."""
-    jj = j.j
-    m = j.m_values()[:-1]
-    return 0.5 * np.sqrt(jj * (jj + 1.0) - m * (m + 1.0))
+def ladder(j: SpinJ, start: int = 0, stop=None) -> np.ndarray:
+    """Condon-Shortley ladder v_i = <m+1|Jx|m> = (1/2)sqrt(J(J+1) - m(m+1))
+    = (1/2)sqrt((2J - i)(i + 1)) for basis index i = m + J, i = start ..
+    stop-1 (default: all, i < 2J).  Each product is an exact integer while
+    (J + 1/2)^2 < 2^53, so every entry is its correctly rounded value."""
+    i = np.arange(start, j.two_j if stop is None else stop, dtype=float)
+    v = j.two_j - i
+    v *= np.add(i, 1.0, out=i)
+    return np.multiply(np.sqrt(v, out=v), 0.5, out=v)
 
 
 def build_spin_operators(j: SpinJ) -> SpinOperators:
     """Exact matrix representations of Jx, Ky, Jz for total spin j.
 
-    <m+1|Jx|m> = <m|Jx|m+1> = (1/2)sqrt(J(J+1) - m(m+1)), all real nonnegative;
-    <m+1|Ky|m> = +(1/2)sqrt(J(J+1) - m(m+1)) and Ky is antisymmetric.
+    <m+1|Jx|m> = <m|Jx|m+1> = v_i of ladder, all real nonnegative;
+    <m+1|Ky|m> = +v_i and Ky is antisymmetric.
     """
-    v = _ladder_half(j)
+    v = ladder(j)
     jx = np.diag(v, -1) + np.diag(v, 1)
     ky = np.diag(v, -1) - np.diag(v, 1)
     jz = np.diag(j.m_values())

@@ -319,11 +319,22 @@ class TestGapScan:
         assert str(csv_path) in script
         assert "cosh(2*x)" in script
 
-    def test_emit_plot_requires_out(self, capsys):
-        code, _, err = run(
-            capsys, "gap-scan", "--j-list", "2", "--gamma", "0", "--emit-plot", "x.gp",
-        )
-        assert code == 2
+    def test_emit_plot_requires_out(self, capsys, tmp_path):
+        # Checked before any solve, so no CSV reaches stdout
+        plot_path = tmp_path / "x.gp"
+        for argv in (["gap-scan", "--j-list", "2"], ["spectrum", "--j", "2"]):
+            code, out, err = run(capsys, *argv, "--gamma", "0", "--emit-plot", str(plot_path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: --emit-plot") and err.count("\n") == 1
+        assert not plot_path.exists()
+
+    def test_unwritable_emit_plot_is_one_error_line(self, capsys, tmp_path):
+        csv_path = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "gap-scan", "--j-list", "2", "--gamma", "0", "--out",
+                             str(csv_path), "--emit-plot", str(tmp_path / "missing" / "x.gp"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert csv_path.exists()  # the CSV is written before the script
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -501,6 +512,29 @@ class TestFlags:
     ])
     def test_bad_j_is_one_error_line(self, capsys, command, j):
         code, out, err = run(capsys, *command, j, "--gamma", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["gap-scan", "--j-list", "5"], ["ground-state", "--j", "5"],
+    ])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, "--gamma", "0.5",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ground-state", "--j", "1e15", "--gamma", "0.5"],
+        ["gap-scan", "--j-list", "1e15", "--gamma", "0"],
+        ["bench", "--j-list", "1e15", "--gamma", "0"],
+        ["ground-state", "--j", "5e18", "--gamma", "0.5"],
+    ])
+    def test_j_too_large_to_allocate_is_one_error_line(self, capsys, argv):
+        # At J = 1e15 the first array asks for at least 7 PiB, past the
+        # 128 TiB user address space, so it fails at once; at 5e18, 2J + 1
+        # exceeds the largest array size and parse_j rejects it.
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -96,6 +96,19 @@ class TestGroundState:
         assert gs.energy_residual <= 1e-9 * max(1.0, h_norm)
         assert math.isclose(float(np.linalg.norm(gs.amplitudes)), 1.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("jj, g, pins", [
+        (10, 0.7, {0: "0x1.dac3f12c2b77bp-15", 5: "0x1.ea2dd3d5f45bdp-5",
+                   10: "0x1.eb7a656a91528p-2", 13: "0x1.d0779b0f09aefp-3"}),
+        (41, -1.1, {0: "-0x1.08da99fac0d8ep-48", 20: "-0x1.4a366913ec57ap-12",
+                    41: "0x1.41182c160d6c7p-2", 44: "-0x1.182edba702e21p-2"}),
+        (250, 0.9, {0: "0x1.c4d9675ffae42p-316", 125: "0x1.26f4ef8c9961cp-67",
+                    250: "0x1.a47d6dc45275fp-3", 253: "0x1.9a0fbb335997bp-3"}),
+    ])
+    def test_pinned_hex(self, jj, g, pins):
+        # The factorized recurrence's amplitudes, bit for bit
+        amps = ground_state(SpinJ(2 * jj), g).amplitudes
+        assert {i: float(amps[i]).hex() for i in pins} == pins
+
     @pytest.mark.parametrize("g", [0.4, 1.7, -1.1])
     def test_reflection_symmetry(self, g):
         gs = ground_state(SpinJ(20), g)

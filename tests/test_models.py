@@ -35,7 +35,6 @@ from lmgspec import (
 )
 from lmgspec import models
 from lmgspec.cli import main
-from lmgspec.models import chain_magnitudes
 
 GAMMAS = [0.0, 0.3, -0.7, 1.5]
 
@@ -213,14 +212,6 @@ class TestSectorBlocks:
         expect = np.where(i % 2 == 0, m[i, i + 1], m[i + 1, i])
         got = supercharge_chain(SpinJ(two_j), g)
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("two_j", [3, 8, 21])
-    def test_chain_magnitudes_range(self, two_j):
-        jv = SpinJ(two_j)
-        full = chain_magnitudes(jv)
-        assert np.array_equal(full, supercharge_chain(jv, 0.0))
-        for start, stop in ((0, two_j), (1, 3), (2, 3), (two_j - 1, two_j)):
-            assert np.array_equal(chain_magnitudes(jv, start, stop), full[start:stop])
 
     def test_zero_sector_holds_zero_mode(self):
         jv = SpinJ(10)

@@ -15,9 +15,18 @@ from lmgspec import (
     SpinJ,
     build_spin_operators,
     mat_exp_scaled,
+    supercharge_chain,
     susy_sector_blocks,
     susy_sorted_hamiltonian,
 )
+from lmgspec.spin import ladder
+
+
+def condon_shortley(two_j, start, stop):
+    """(1/2)sqrt(J(J+1) - m(m+1)) at m = i - J for i = start .. stop-1."""
+    jj = two_j / 2.0
+    m = np.arange(start, stop) - jj
+    return 0.5 * np.sqrt(jj * (jj + 1.0) - m * (m + 1.0))
 
 
 class TestSpinJ:
@@ -90,6 +99,30 @@ class TestOperators:
         assert np.array_equal(s.jx, s.jx.T)
         assert np.array_equal(s.ky, -s.ky.T)
         assert np.count_nonzero(s.jz - np.diag(np.diag(s.jz))) == 0
+
+
+class TestLadder:
+    @pytest.mark.parametrize("two_j", [3, 8, 21])
+    def test_range(self, two_j):
+        jv = SpinJ(two_j)
+        full = ladder(jv)
+        assert np.array_equal(full, supercharge_chain(jv, 0.0))
+        for start, stop in ((0, two_j), (1, 3), (2, 3), (two_j - 1, two_j)):
+            assert np.array_equal(ladder(jv, start, stop), full[start:stop])
+
+    def test_bits_equal_condon_shortley(self):
+        for two_j in range(301):
+            got = ladder(SpinJ(two_j))
+            assert got.tobytes() == condon_shortley(two_j, 0, two_j).tobytes()
+
+    @pytest.mark.parametrize("two_j", [2 * 10**7, 9 * 10**7])
+    def test_bits_on_large_j_windows(self, two_j):
+        # Chunk-sized windows at both ends and across the peak at i = J;
+        # the products (2J - i)(i + 1) are exact while (J + 1/2)^2 < 2^53.
+        w, jj = 1 << 17, two_j // 2
+        for start, stop in ((0, w + 1), (jj - w // 2, jj + w // 2 + 1), (two_j - w, two_j)):
+            got = ladder(SpinJ(two_j), start, stop)
+            assert got.tobytes() == condon_shortley(two_j, start, stop).tobytes()
 
 
 class TestMatExp:
