@@ -100,12 +100,12 @@ def check_tol(value) -> float:
 
 def gamma_grid(args) -> list:
     if args.gamma is not None:
-        if args.gamma_min is not None or args.gamma_max is not None:
-            raise ConfigError("--gamma conflicts with --gamma-min/--gamma-max")
+        if (args.gamma_min, args.gamma_max, args.steps) != (None, None, None):
+            raise ConfigError("--gamma conflicts with --gamma-min/--gamma-max/--steps")
         return [parse_gamma(tok) for tok in args.gamma.split(",") if tok]
     if args.gamma_min is None or args.gamma_max is None:
         raise ConfigError("need --gamma or both --gamma-min and --gamma-max")
-    steps = args.steps
+    steps = 1 if args.steps is None else args.steps
     if steps < 1:
         raise ConfigError("--steps must be >= 1")
     lo, hi = args.gamma_min, args.gamma_max
@@ -184,6 +184,8 @@ def cmd_spectrum(args) -> int:
         if any(getattr(args, f) is None for f in ("xi", "chi1", "chi2", "lam")):
             raise ConfigError("general model requires --xi --chi1 --chi2 --lambda")
         params = ModelParams(xi=args.xi, chi1=args.chi1, chi2=args.chi2, lam=args.lam)
+    elif any(getattr(args, f) is not None for f in ("xi", "chi1", "chi2", "lam")):
+        raise ConfigError("--xi, --chi1, --chi2 and --lambda need --model general")
     for jv in j_values:
         if jv.dim > DENSE_DIM_LIMIT:
             raise ConfigError(f"J={jv} exceeds the dense-oracle limit (dim <= {DENSE_DIM_LIMIT})")
@@ -382,8 +384,8 @@ def _add_common(p, *optional, gamma_single=False):
         p.add_argument("--gamma", help="explicit gamma value(s), comma separated")
         p.add_argument("--gamma-min", type=float)
         p.add_argument("--gamma-max", type=float)
-        p.add_argument("--steps", type=int, default=1,
-                       help="grid points, endpoints included")
+        p.add_argument("--steps", type=int,
+                       help="grid points, endpoints included (default 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     for name in optional:

@@ -232,8 +232,7 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     np.ldexp(d, -k[:, None], out=d)
     y = np.empty((nb, n))
     scale = 1.0 / np.sqrt(_row_dots(x, x))  # each row of x * scale has unit norm
-    rho_old = np.full(nb, math.inf)
-    gaps = np.empty(nb)
+    gaps = rho_old = np.full(nb, math.inf)
     done = np.zeros(nb, dtype=bool)
     d_flat, l_flat = d.ravel(), l.ravel()[:-1]
     for _ in range(_INVIT_MAX_STEPS):
@@ -241,13 +240,11 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
         y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
         yy = _row_dots(y, y)
         rho = scale * _row_dots(x, y) / yy
-        now = ~done & (rho_old - rho <= 2.0 * _EPS * rho)
-        gaps[now] = np.ldexp(np.minimum(rho, rho_old)[now], k[now])
-        done |= now
+        gaps = np.where(done, gaps, np.minimum(rho, rho_old))
+        done |= rho_old - rho <= 2.0 * _EPS * rho
         if done.all():
-            return gaps
-        rho_old = rho
-        x, y = y, x
+            return np.ldexp(gaps, k)
+        rho_old, x, y = rho, y, x
         scale = 1.0 / np.sqrt(yy)
     raise NotConverged(f"J={j}, gamma={gammas[int(np.argmin(done))]!r}: "
                        f"inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")

@@ -4,6 +4,7 @@ For integer J, H = F^T F with F = Jz cosh(g) - Ky sinh(g) annihilates
 exp(g*Jx)|m_z=0>, whose squared norm is P_J(cosh 2g).  F c = 0 runs downward
 from m = J through the ratios of its minimal solution (Gautschi 1967); the
 rotated frame solves X^T psi = 0, X the supercharge's bidiagonal block.
+Each norm sums its squares in the gap's fixed chunks, whatever the BLAS thread count.
 """
 
 import math
@@ -12,6 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .eigensolve import _row_dots
 from .errors import NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .models import supercharge_chain
 from .spin import SpinJ, ladder
@@ -41,10 +43,11 @@ def _ldexp(p: float, e: int, what: str) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x||, with x first scaled by the exact power of two that puts max|x|
-    in [1/2, 1), so that no square overflows before the norm does."""
+    """||x|| by the gap's fixed-chunk _row_dots, with x first scaled by the
+    exact power of two that puts max|x| in [1/2, 1), so that no square overflows."""
     k = math.frexp(float(np.max(np.abs(x))))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -k))), k)
+    xs = np.ldexp(x, -k)[None]
+    return math.ldexp(math.sqrt(_row_dots(xs, xs)[0]), k)
 
 
 def legendre_p(n: int, x: float) -> float:
@@ -101,7 +104,7 @@ def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundSta
             amps[0::2] = np.exp(logs - logs.max())
             amps[2::4] *= -1.0
             diag, lower, upper = 0.0, e, e
-            norm_direct, norm_legendre = 1.0, None
+            norm_legendre = None
         else:
             # c_{m-1} = (m coth(g) c_m + v_m c_{m+1}) / v_{m-1} from c_{J+1} = 0,
             # run as the ratios rho_m = c_m / c_{m-1}, which cannot overflow
@@ -116,10 +119,11 @@ def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundSta
             norm_legendre = _ldexp(math.sqrt(math.ldexp(p, e2 & 1)), e2 >> 1,
                                    f"sqrt(P_{jj}(cosh 2 gamma)) at gamma={gamma!r}")
             p, e1 = _bonnet(jj, math.cosh(gamma))
-            norm_direct = _ldexp(p * float(np.linalg.norm(amps)), e1, "norm_direct")
             w = math.sinh(gamma) * v
             diag, lower, upper = math.cosh(gamma) * m, -w, w
-        amps = amps / np.linalg.norm(amps)
+        c_norm = _norm(amps)
+        norm_direct = 1.0 if frame == "rotated" else _ldexp(p * c_norm, e1, "norm_direct")
+        amps = amps / c_norm
         h_amps = _tridiag_apply(_tridiag_apply(amps, diag, lower, upper), diag, upper, lower)
         resid = _ldexp(_norm(h_amps), 0, "the residual")
     except OverflowError:  # cosh, sinh or exp of gamma

@@ -178,10 +178,13 @@ class TestSpectrum:
     def test_any_arguments_end_in_an_exit_code(self, j_tokens, grid, model, params, tol, fmt):
         # J stays at most 5 and --steps at most 6; the general model's
         # couplings and --tol take any float, including NaN and overflow.
+        # The couplings go only with --model general, so that the susy
+        # draws reach a solve.
         argv = ["spectrum", "--j=" + ",".join(j_tokens), *grid, "--model", model,
                 "--format", fmt]
         flags = ("--xi", "--chi1", "--chi2", "--lambda")
-        argv += [f"{flag}={value}" for flag, value in zip(flags, params)]
+        if model == "general":
+            argv += [f"{flag}={value}" for flag, value in zip(flags, params)]
         if tol is not None:
             argv.append(f"--tol={tol}")
         assert_no_silent_nan(*run_bounded(argv))
@@ -200,6 +203,13 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert err.startswith("error: --tol") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--xi", "--chi1", "--chi2", "--lambda"])
+    def test_susy_model_rejects_couplings(self, capsys, monkeypatch, flag):
+        calls = counting(monkeypatch, "eig_dense_symmetric")
+        code, out, err = run(capsys, "spectrum", "--j", "2", "--gamma", "0.5", flag, "3")
+        assert (code, out) == (2, "") and len(calls) == 0
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_too_large_j_rejected(self, capsys):
         code, _, err = run(capsys, "spectrum", "--j", "500", "--gamma", "0")
         assert code == 2 and "error" in err
@@ -213,6 +223,11 @@ class TestSpectrum:
     def test_missing_gamma(self, capsys):
         code, _, err = run(capsys, "spectrum", "--j", "2")
         assert code == 2
+
+    def test_range_without_steps_is_one_point(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--j", "1", "--gamma-min", "0.5",
+                           "--gamma-max", "1")
+        assert code == 0 and {r["gamma"] for r in csv_rows(out)[1]} == {"0.5"}
 
     def test_overflow_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "spectrum", "--j", "2", "--gamma", "400")
@@ -487,6 +502,14 @@ class TestFlags:
             main(argv + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--j", "2"], ["gap-scan", "--j-list", "5"], ["bench", "--j-list", "5"],
+    ])
+    def test_steps_conflicts_with_gamma(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--gamma", "0.5", "--steps", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "conflicts" in err and err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

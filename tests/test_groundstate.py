@@ -1,5 +1,6 @@
 """Zero mode: Legendre normalization, amplitudes, residuals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -199,3 +200,38 @@ class TestGroundState:
     def test_half_integer_rejected(self):
         with pytest.raises(NotIntegerSpin):
             ground_state(SpinJ(5), 0.5)
+
+
+class TestGroundStateBits:
+    """The zero mode's exact bits at large J: the sha256 of the amplitudes,
+    and norm_direct and energy_residual in hex.  Every norm sums its squares
+    in the gap's fixed chunks (eigensolve._row_dots), so these are the same
+    at 1 and 2 BLAS threads; recorded at one thread."""
+
+    PINS = {  # (J, gamma, frame): (sha256 of the amplitudes, norm_direct, energy_residual)
+        (20000, 0.01, "factorized"): (
+            "bea115037ed12a70d6f81d616f96c21bc1465ca82ea53c133ede9a7030071cae",
+            "0x1.a66ea94bc1385p+285", "0x1.7102a60df70a4p-39"),
+        (10**5, 1e-4, "factorized"): (
+            "623ba5ca0f45ce7a0770f3d8a6d765f4acb1f1c215eccccfbe20b64aabd4b231",
+            "0x1.9c830f96435c4p+12", "0x1.a7badd63eb89cp-48"),
+        (10**5, -2e-4, "factorized"): (
+            "15e92692ae3871630bf689033fc6ec1352b9753747f649b7d2bad68a5036bd3d",
+            "0x1.d19b82eba41eep+26", "0x1.3e652a0a1e2bfp-46"),
+        (10**6, 0.0, "rotated"): (
+            "85639588a9fc4e3997a02587ec4525fc5f9935bd68e429afef2335290377f7a9",
+            "0x1.0000000000000p+0", "0x1.4ec1b80fd8d00p-13"),
+        (10**6, 0.3, "rotated"): (
+            "839d425186e01b3cbe66abddb25b8fe9f9e618cad9850b4ec691a906a9c9ab22",
+            "0x1.0000000000000p+0", "0x1.8550ad4918320p-32"),
+        (10**6, -1.2, "rotated"): (
+            "850d195ca407517721d56fec9d3eda35c427fca7885eb6308070213b32992342",
+            "0x1.0000000000000p+0", "0x1.9c9bcc5aa7f98p-14"),
+    }
+
+    @pytest.mark.parametrize("jj, g, frame", list(PINS))
+    def test_pinned(self, jj, g, frame):
+        gs = ground_state(SpinJ(2 * jj), g, frame=frame)
+        got = (hashlib.sha256(gs.amplitudes.tobytes()).hexdigest(),
+               gs.norm_direct.hex(), gs.energy_residual.hex())
+        assert got == self.PINS[jj, g, frame]
