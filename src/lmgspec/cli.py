@@ -112,6 +112,9 @@ def gamma_grid(args) -> list:
     grid = [lo] if steps == 1 else [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
     if not all(math.isfinite(g) for g in (hi, *grid)):
         raise ConfigError("--gamma-min/--gamma-max: the gamma grid is not finite")
+    if steps == 1 and hi != lo:
+        raise ConfigError("--gamma-max differs from --gamma-min, but a one-point grid "
+                          "(--steps 1 or no --steps) holds only --gamma-min")
     return grid
 
 

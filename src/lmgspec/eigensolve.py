@@ -4,7 +4,9 @@
   factors of the gap-sector block X^T X (X the supercharge's bidiagonal
   block) that are built from the chain with positive terms only, so the gap
   keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
-  measured 3.3e-15 at J = 1000, 4.0e-14 at J = 1e6 and 5.5e-12 at J = 1e7.
+  measured 3.3e-15 at J = 1000, 9.0e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
+  The iteration starts from the Holstein-Primakoff one-quasiparticle state,
+  which at gamma = 0 is the gap vector itself.
   The cells of one J run as one batch: their factors are built together,
   one array operation for all cells, and stacked into one block-diagonal
   matrix, so each step is one LAPACK dpttrs solve for all cells.
@@ -91,13 +93,17 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     stays bounded.  Every operation adds or multiplies positive numbers, so
     each factor is accurate to a few ulps relative.
 
-    The start vector is x_0 = 1, x_(k+1) = x_k b_k / a_k, floored at eps:
-    x_k = psi_0 / psi_k, the reciprocal of the zero mode, whose ratios
-    psi_(k+1) / psi_k = a_k / b_k the build forms anyway.  At gamma != 0 it
-    holds its mass at the start of the block, where the gap vector does, so
-    inverse iteration settles in about half the steps it takes from a flat
-    vector.  The floor keeps subnormals out of the solves, which they slow
-    several-fold.
+    The start vector is x_0 = 1, x_(k+1) = x_k e^(-2|gamma|) v_(2k+2) /
+    v_(2k+1), floored at eps, with v the spin ladder.  Each ratio is
+    rounded as (v_(2k+2) e^-|gamma|) / (v_(2k+1) e^|gamma|), the ratio of
+    two entries of the chain at +|gamma|.  Since v_i^2 - v_(i-1)^2 =
+    (J - i)/2, this x satisfies
+        (A x)_k = ((J - 2k) sinh 2|gamma| + e^(-2|gamma|)) x_k
+    for the sign-flipped block A factored here.  At gamma = 0 every row
+    reads 1, so x > 0 is the gap eigenvector; at gamma != 0 it is the
+    Holstein-Primakoff one-quasiparticle state, 1.3e-3 in angle from the
+    gap vector at J = 400, gamma = 0.5.  The floor keeps subnormals out of
+    the solves, which they slow several-fold.
 
     All rows are built at once.  The chain at -|gamma| is the gamma-free
     chain v (spin.ladder) times e^|gamma| on a and e^-|gamma|
@@ -129,20 +135,27 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         size = t - s
         v = ladder(j, 2 * s, min(2 * t + 1, 2 * n))
         # a_s .. a_t (a_t only if t < n) and b_s .. b_(t-1) at gamma = 0,
-        # copied once to contiguous arrays since each is read three times
+        # copied once to contiguous arrays since each is read several times
         va, vb = v[0::2].copy(), v[1::2].copy()
         dk, lk = d[:, s:t], l[:, s:t]
         ab = band[:, :nb * size]
         a_next, sub = ab[0].reshape(nb, size), ab[1].reshape(nb, size)
+        # x_(s+1) .. x_(s+k) and l_s .. l_(s+k-1) need v_(2s+2) .. v_(2s+2k);
+        # x_(s+k) is the next chunk's x_t when t < n
+        k = va.size - 1
+        ratio = x[:, s + 1:s + 1 + k]  # x_(k+1) / x_k until the cumprod
+        np.multiply(va[1:], down, out=ratio)    # e_(2k+2) at +|gamma|
+        np.multiply(vb[:k], up, out=lk[:, :k])  # e_(2k+1) at +|gamma|
+        ratio /= lk[:, :k]
+        xk = x[:, s:t]
+        xk[:, 0] = x_next
+        np.cumprod(xk, axis=1, out=xk)
+        if t < n:
+            x_next = xk[:, -1] * x[:, t]
+        np.maximum(xk, _EPS, out=xk)
         np.multiply(vb, down, out=lk)
         np.multiply(va[:size], up, out=dk)
         np.divide(lk, dk, out=dk)      # b_k / a_k
-        xk = x[:, s:t]
-        xk[:, 0] = x_next
-        xk[:, 1:] = dk[:, :-1]
-        np.cumprod(xk, axis=1, out=xk)  # x_(k+1) = x_k b_k / a_k
-        x_next = xk[:, -1] * dk[:, -1]
-        np.maximum(xk, _EPS, out=xk)
         np.square(dk, out=dk)          # c_k
         np.negative(dk[:, 1:], out=sub[:, :-1])
         sub[:, -1] = 0.0               # rows do not couple
@@ -158,7 +171,6 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         np.multiply(vb, down, out=lk)
         np.square(lk, out=lk)
         dk += lk
-        k = va.size - 1                # l_s .. l_(s+k-1) need a_(s+1) .. a_(s+k)
         np.multiply(va[1:], up, out=a_next[:, :k])
         np.multiply(vb[:k], down, out=lk[:, :k])
         lk[:, :k] *= a_next[:, :k]
@@ -218,9 +230,13 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     settled row stays in the solve until the last row settles.  Each row of
     d is first scaled by an exact power of two so that its smallest entry,
     an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y then
-    stays in float64 range.  From the zero mode's reciprocal a row takes
-    13-15 steps at J = 10^6 and gamma != 0, where lambda_1/lambda_0 is
-    about 2, against 27-28 from a flat vector, and 2-12 at gamma = 0.
+    stays in float64 range.  From the one-quasiparticle start a row takes
+    2-5 steps at J = 10^6 and |gamma| >= 0.2, where lambda_1/lambda_0 is
+    about 2 (12-15 from the zero mode's reciprocal, 27-28 from a flat
+    vector), and 2 at gamma = 0, where the start is the gap vector (3 at
+    J = 10^7, where the quotient moves by 6e-15 relative between steps 1
+    and 2).  At 1e-8 <= |gamma| <= 0.1 the start is further from the gap
+    vector and a row takes 7-16 steps at J = 10^6 (10-16 before).
     Raises NotConverged, naming the first unsettled gamma, after
     _INVIT_MAX_STEPS steps.
     """
@@ -379,10 +395,12 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     method="tridiag" (spectral_gaps with one gamma): the smallest eigenvalue
     of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
     block, by inverse iteration on its relatively accurate LDL^T factors
-    (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory.
-    |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 4.0e-14 at J = 1e6 and
-    5.5e-12 at J = 1e7.  method="dense" diagonalizes the block densely
-    (J <= 200 only).
+    (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory,
+    from the Holstein-Primakoff one-quasiparticle state: 2-6 steps at
+    J >= 10^5 for gamma = 0 and |gamma| >= 0.5, up to 16 at small
+    |gamma|.  |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 9.0e-14 at
+    J = 1e6 and 5.6e-12 at J = 1e7.  method="dense" diagonalizes the
+    block densely (J <= 200 only).
     The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
     Raises OverflowRisk where the bound, the squared chain or the gap is not
     finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).

@@ -168,10 +168,11 @@ def ldl_factors_one_row(j: SpinJ, gamma: float) -> tuple:
 def invit_start_one_row(j: SpinJ, gamma: float) -> np.ndarray:
     """The start vector that eigensolve._gap_ldl_factors builds for the gap's
     inverse iteration at one gamma, in one unchunked cumprod: x_0 = 1,
-    x_(k+1) = x_k b_k / a_k with a, b as in ldl_factors_one_row, so x is
-    proportional to 1/psi for the zero mode X^T psi = 0, floored at eps."""
-    e = supercharge_chain(j, -abs(gamma))
-    x = np.cumprod(np.concatenate([[1.0], e[1::2][:-1] / e[0::2][:-1]]))
+    x_(k+1) = x_k e_(2k+2) / e_(2k+1) with e the supercharge chain at
+    +|gamma|, floored at eps.  This is the gap vector at gamma = 0 and the
+    Holstein-Primakoff one-quasiparticle state otherwise."""
+    e = supercharge_chain(j, abs(gamma))
+    x = np.cumprod(np.concatenate([[1.0], e[2::2] / e[1::2][:-1]]))
     return np.maximum(x, np.finfo(float).eps)
 
 

@@ -226,8 +226,13 @@ class TestSpectrum:
 
     def test_range_without_steps_is_one_point(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--j", "1", "--gamma-min", "0.5",
-                           "--gamma-max", "1")
+                           "--gamma-max", "0.5")
         assert code == 0 and {r["gamma"] for r in csv_rows(out)[1]} == {"0.5"}
+        # One point cannot hold two different ends.
+        code, out, err = run(capsys, "spectrum", "--j", "1", "--gamma-min", "0.5",
+                             "--gamma-max", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --gamma-max") and err.count("\n") == 1
 
     def test_overflow_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "spectrum", "--j", "2", "--gamma", "400")
@@ -510,6 +515,17 @@ class TestFlags:
         code, out, err = run(capsys, *argv, "--gamma", "0.5", "--steps", "7")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "conflicts" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "1"]])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--j", "2"], ["gap-scan", "--j-list", "5"], ["bench", "--j-list", "5"],
+    ])
+    def test_one_point_range_needs_equal_ends(self, capsys, argv, steps):
+        code, out, err = run(capsys, *argv, "--gamma-min", "0", "--gamma-max", "1", *steps)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --gamma-max") and err.count("\n") == 1
+        code, out, _ = run(capsys, *argv, "--gamma-min", "1", "--gamma-max", "1", *steps)
+        assert code == 0 and len(csv_rows(out)[1]) >= 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

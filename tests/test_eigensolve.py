@@ -348,21 +348,65 @@ class TestGapInverseIteration:
         _gap_inverse_iteration(SpinJ(2 * jj), gammas)
         return len(calls)
 
-    @pytest.mark.parametrize("g, most", [(0.8, 17), (-1.5, 17), (0.0, 9)])
+    @pytest.mark.parametrize("g, most", [(0.8, 6), (-1.5, 6), (0.0, 2)])
     def test_steps_at_large_j(self, monkeypatch, g, most):
-        # From the zero mode's reciprocal: 15, 13 and 7 steps (27, 27 and 9
-        # from the all-ones vector)
+        # From the one-quasiparticle start (15, 13 and 7 steps from the zero
+        # mode's reciprocal, 27, 27 and 9 from the all-ones vector)
         assert self.steps(monkeypatch, 10**5, [g]) <= most
 
+    @pytest.mark.parametrize("g, most", [(0.5, 5), (-0.5, 5), (2.0, 2), (-2.0, 2)])
+    def test_steps_at_j_1e6(self, monkeypatch, g, most):
+        # 15, 15, 12 and 12 steps from the zero mode's reciprocal
+        assert self.steps(monkeypatch, 10**6, [g]) <= most
+
     def test_steps_of_a_batch(self, monkeypatch):
-        # 16 steps (28 from the all-ones vector), all 50 cells in one batch
+        # 14 steps (16 from the zero mode's reciprocal, 28 from the all-ones
+        # vector), all 50 cells in one batch
         assert _batch_rows(1000) >= 50
         assert self.steps(monkeypatch, 1000, np.linspace(0.05, 3.0, 50).tolist()) <= 20
+
+    @pytest.mark.parametrize("jj", [1, 2, 3, 10, 25, 40])
+    def test_start_satisfies_the_identity(self, jj):
+        """(A x)_k = ((J - 2k) sinh 2|g| + e^(-2|g|)) x_k for the start x.
+
+        A is the sign-flipped gap block X^T X at -|g|: diagonal
+        a_k^2 + b_k^2, off-diagonal -b_k a_(k+1), with a_k = v_2k e^|g|,
+        b_k = v_(2k+1) e^-|g| and v the spin ladder.  x_(k+1) / x_k =
+        e^(-2|g|) v_(2k+2) / v_(2k+1) turns the row into
+        e^(2|g|) (v_2k^2 - v_(2k-1)^2) - e^(-2|g|) (v_(2k+2)^2 - v_(2k+1)^2),
+        and v_i^2 - v_(i-1)^2 = (J - i)/2.  At g = 0 every row reads 1, and
+        x > 0 is then the Perron vector of A^-1, the gap eigenvector.  The
+        float64 start agrees with the 40-digit x to a few ulps per step.
+        """
+        mp = pytest.importorskip("mpmath")
+        jv = SpinJ(2 * jj)
+        with mp.workdps(40):
+            for g in (0.0, 1e-8, 0.3, -0.5, 1.3, -2.0):
+                t = abs(mp.mpf(g))
+                v = [mp.sqrt((2 * jj - i) * (i + 1)) / 2 for i in range(2 * jj)] + [0]
+                a = [v[2 * k] * mp.exp(t) for k in range(jj)] + [0]
+                b = [v[2 * k + 1] * mp.exp(-t) for k in range(jj)]
+                x = [mp.mpf(1)]
+                for k in range(jj - 1):
+                    x.append(x[-1] * mp.exp(-2 * t) * v[2 * k + 2] / v[2 * k + 1])
+                x.append(0)
+                for k in range(jj):
+                    diag = (a[k] ** 2 + b[k] ** 2) * x[k]
+                    ax = diag - b[k] * a[k + 1] * x[k + 1]
+                    if k:
+                        ax -= b[k - 1] * a[k] * x[k - 1]
+                    lam = (jj - 2 * k) * mp.sinh(2 * t) + mp.exp(-2 * t)
+                    assert abs(ax - lam * x[k]) <= mp.mpf(10) ** -35 * diag
+                start = _gap_ldl_factors(jv, [g])[2][0]
+                want = np.array([max(float(xk), np.finfo(float).eps) for xk in x[:-1]])
+                assert np.allclose(start, want, rtol=4 * jj * np.finfo(float).eps, atol=0.0)
+            assert abs(spectral_gap(jv, 0.0).gap - 1.0) <= 64 * np.finfo(float).eps
 
     @pytest.mark.parametrize("jj", [2, 1000, 65537])
     def test_start_row(self, jj):
         # At J = 65537 a row spans two column chunks; at |gamma| = 300 the
-        # product b_k / a_k leaves float64 after two factors.
+        # running product of the ratios e^(-600) v_(2k+2) / v_(2k+1) leaves
+        # float64 after two factors.
         jv = SpinJ(2 * jj)
         for g in (0.0, 0.5, -0.5, 300.0, -300.0):
             x = _gap_ldl_factors(jv, [g])[2][0]
@@ -430,7 +474,7 @@ class TestSpectralGaps:
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 1)
         with pytest.raises(NotConverged, match="gamma=0.0"):
             spectral_gaps(SpinJ(10), [0.0, 0.5])
-        # At J = 20, gamma = 0 settles at step 12, 0.7 at step 15 and 0.5 at
+        # At J = 20, gamma = 0 settles at step 2, 0.7 at step 15 and 0.5 at
         # step 16: after 13 steps the error names the first gamma not yet
         # settled.
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 13)
@@ -458,9 +502,10 @@ class TestSpectralGaps:
 class TestGapBits:
     """The gaps' exact bits: a change in rounding shows here even where
     batch and single calls still agree with each other.  Recorded from
-    inverse iteration started at the zero mode's reciprocal, and the same
-    at 1 and 2 BLAS threads, since no dot product depends on the thread
-    count (eigensolve._row_dots).  gamma = 0.45 and -2.1 are values where
+    inverse iteration started at the Holstein-Primakoff one-quasiparticle
+    state (the gap vector itself at gamma = 0) at one BLAS thread, and the
+    same at two, since no dot product depends on the thread count
+    (eigensolve._row_dots).  gamma = 0.45 and -2.1 are values where
     the array np.exp is an ulp off math.exp."""
 
     GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 300.0, -300.0, 0.45, -2.1]
@@ -473,39 +518,39 @@ class TestGapBits:
         ),
         2: (
             "0x1.0000000000000p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0",
-            "0x1.1f946412861cfp+1", "0x1.1f946412861cfp+1", "0x1.936bde1a9007ep+8",
-            "0x1.936bde1a9007ep+8", "0x1.88a122d234b39p+865", "0x1.88a122d234b39p+865",
-            "0x1.ff515197449ccp+0", "0x1.0a90dc43a1462p+6",
+            "0x1.1f946412861cfp+1", "0x1.1f946412861cfp+1", "0x1.936bde1a90079p+8",
+            "0x1.936bde1a90079p+8", "0x1.88a122d234b39p+865", "0x1.88a122d234b39p+865",
+            "0x1.ff515197449c8p+0", "0x1.0a90dc43a1463p+6",
         ),
         5: (
-            "0x1.0000000000000p+0", "0x1.0000000000008p+0", "0x1.0000000000008p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000009p+0", "0x1.0000000000009p+0",
             "0x1.642e5d081d437p+2", "0x1.642e5d081d437p+2", "0x1.f84831afaf32ap+9",
             "0x1.f84831afaf32ap+9", "0x1.eac96b86c1e08p+866", "0x1.eac96b86c1e08p+866",
-            "0x1.3224d96f0f3eap+2", "0x1.4d55d2ff5be1dp+7",
+            "0x1.3224d96f0f3eap+2", "0x1.4d55d2ff5be1cp+7",
         ),
         30: (
-            "0x1.0000000000001p+0", "0x1.0000000000119p+0", "0x1.0000000000119p+0",
-            "0x1.187c2b2d09885p+5", "0x1.187c2b2d09885p+5", "0x1.7a364b6f19fadp+12",
+            "0x1.0000000000001p+0", "0x1.0000000000118p+0", "0x1.0000000000118p+0",
+            "0x1.187c2b2d09884p+5", "0x1.187c2b2d09884p+5", "0x1.7a364b6f19fadp+12",
             "0x1.7a364b6f19fadp+12", "0x1.701710a511685p+869", "0x1.701710a511685p+869",
-            "0x1.e94398cfab87ep+4", "0x1.f407f42f7e57ep+9",
+            "0x1.e94398cfab87bp+4", "0x1.f407f42f7e57cp+9",
         ),
         1000: (
-            "0x1.000000000000fp+0", "0x1.0000000049602p+0", "0x1.0000000049602p+0",
-            "0x1.25c11572f7ac4p+10", "0x1.25c11572f7ac4p+10", "0x1.89f893fc09531p+17",
-            "0x1.89f893fc09531p+17", "0x1.7f6d5c0147775p+874", "0x1.7f6d5c0147775p+874",
-            "0x1.0094096a92a5dp+10", "0x1.046f5208bfaf4p+15",
+            "0x1.000000000000fp+0", "0x1.000000004960ap+0", "0x1.000000004960ap+0",
+            "0x1.25c11572f7ac4p+10", "0x1.25c11572f7ac4p+10", "0x1.89f893fc09532p+17",
+            "0x1.89f893fc09532p+17", "0x1.7f6d5c0147775p+874", "0x1.7f6d5c0147775p+874",
+            "0x1.0094096a92a5cp+10", "0x1.046f5208bfaf4p+15",
         ),
         65536: (
-            "0x1.ffffffffffff3p-1", "0x1.000004cdcd426p+0", "0x1.000004cdcd426p+0",
-            "0x1.2cd9cd2ded7b2p+16", "0x1.2cd9cd2ded7b2p+16", "0x1.936d22f5da0cdp+23",
-            "0x1.936d22f5da0cdp+23", "0x1.88a122d234b39p+880", "0x1.88a122d234b39p+880",
-            "0x1.06c998cadfa97p+16", "0x1.0aaf728100ceep+21",
+            "0x1.0000000000023p+0", "0x1.000004cdcd3fdp+0", "0x1.000004cdcd3fdp+0",
+            "0x1.2cd9cd2ded7b1p+16", "0x1.2cd9cd2ded7b1p+16", "0x1.936d22f5da0d0p+23",
+            "0x1.936d22f5da0d0p+23", "0x1.88a122d234b39p+880", "0x1.88a122d234b39p+880",
+            "0x1.06c998cadfa98p+16", "0x1.0aaf728100cefp+21",
         ),
         65537: (
-            "0x1.000000000000cp+0", "0x1.000004cdd6da4p+0", "0x1.000004cdd6da4p+0",
-            "0x1.2cdafa07e9c03p+16", "0x1.2cdafa07e9c03p+16", "0x1.936eb662fd036p+23",
-            "0x1.936eb662fd036p+23", "0x1.88a2ab735785ep+880", "0x1.88a2ab735785ep+880",
-            "0x1.06ca9f94ac7fap+16", "0x1.0ab07d30735f3p+21",
+            "0x1.0000000000016p+0", "0x1.000004cdd6d8ap+0", "0x1.000004cdd6d8ap+0",
+            "0x1.2cdafa07e9c03p+16", "0x1.2cdafa07e9c03p+16", "0x1.936eb662fd034p+23",
+            "0x1.936eb662fd034p+23", "0x1.88a2ab735785ep+880", "0x1.88a2ab735785ep+880",
+            "0x1.06ca9f94ac7f8p+16", "0x1.0ab07d30735f3p+21",
         ),
     }
 
