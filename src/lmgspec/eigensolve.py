@@ -4,7 +4,7 @@
   factors of the gap-sector block X^T X (X the supercharge's bidiagonal
   block) that are built from the chain with positive terms only, so the gap
   keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
-  measured 3.3e-15 at J = 1000, 9.0e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
+  measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
   The iteration starts from the Holstein-Primakoff one-quasiparticle state,
   which at gamma = 0 is the gap vector itself.
   The cells of one J run as one batch: their factors are built together,
@@ -17,6 +17,10 @@
 * Characteristic polynomials by a three-term recurrence for tridiagonal
   matrices, used to verify the determinant factorization of the
   non-Hermitian form.
+
+scipy's LAPACK wrappers (dtbtrs, dpttrs, eigvalsh_tridiagonal) are imported
+inside the functions that call them, on their first call: importing scipy.linalg
+takes about 0.2 s, and nothing else in the package needs scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpttrs, dtbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -65,6 +67,8 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
     tolerance leaves 2.2e-12 relative at J = 20000, gamma = 0.5 on the gap
     sector block.  No longer on the gap path.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if t.n == 0:
         return np.empty(0)
     if not (np.isfinite(t.diag).all() and np.isfinite(t.off).all()):
@@ -113,13 +117,18 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     start, so it rounds each row as it would alone.  One row goes in column
     chunks of _LDL_CHUNK that carry u_(k-1) and x_k across chunk
     boundaries, so that x is one running product, as an unchunked cumprod
-    rounds it; a batch of several rows is one chunk, at most _LDL_CHUNK
-    wide in all through _batch_rows.  a and b are recomputed from v where
+    rounds it.  Each chunk after the first starts its solve one column
+    early, at the carried u_(s-1), so that dtbtrs rounds u_s as well:
+    OpenBLAS rounds c + c u unlike numpy, and a carry added in numpy would
+    make the factors depend on _LDL_CHUNK.  A batch of several rows is one
+    chunk, at most _LDL_CHUNK wide in all through _batch_rows.  a and b are recomputed from v where
     they are needed rather than stored: apart from d, l and x, the only
     buffer the size of the batch is the dtbtrs band, whose row 0, the unit
     diagonal that dtbtrs does not read, holds a_(k+1) for l.  So the build
     holds at most _LDL_CHUNK doubles more than the iteration that follows.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     n, nb = j.two_j // 2, len(gammas)
     d = np.empty((nb, n))
     l = np.empty((nb, n))
@@ -127,7 +136,7 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
     down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
     width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
-    band = np.empty((2, nb * width), order="F")
+    band = np.empty((2, nb * width + 1), order="F")
     u_prev = np.zeros(nb)
     x_next = np.ones(nb)
     for s in range(0, n, width):
@@ -138,8 +147,9 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         # copied once to contiguous arrays since each is read several times
         va, vb = v[0::2].copy(), v[1::2].copy()
         dk, lk = d[:, s:t], l[:, s:t]
-        ab = band[:, :nb * size]
-        a_next, sub = ab[0].reshape(nb, size), ab[1].reshape(nb, size)
+        w = d[:, max(s - 1, 0):t]  # the columns the dtbtrs solve runs over
+        ab = band[:, :w.size]
+        a_next, sub = band[0, :nb * size].reshape(nb, size), ab[1].reshape(w.shape)
         # x_(s+1) .. x_(s+k) and l_s .. l_(s+k-1) need v_(2s+2) .. v_(2s+2k);
         # x_(s+k) is the next chunk's x_t when t < n
         k = va.size - 1
@@ -157,10 +167,13 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         np.multiply(va[:size], up, out=dk)
         np.divide(lk, dk, out=dk)      # b_k / a_k
         np.square(dk, out=dk)          # c_k
-        np.negative(dk[:, 1:], out=sub[:, :-1])
+        np.negative(w[:, 1:], out=sub[:, :-1])
         sub[:, -1] = 0.0               # rows do not couple
-        dk[:, 0] += dk[:, 0] * u_prev  # u_(s-1) from the previous chunk
-        dtbtrs(ab, dk.reshape(-1), uplo="L", diag="U", overwrite_b=1)
+        if s:  # one row: the solve starts at u_(s-1), in d_(s-1)'s place
+            d_last, w[0, 0] = w[0, 0], u_prev[0]
+        dtbtrs(ab, w.reshape(-1), uplo="L", diag="U", overwrite_b=1)
+        if s:
+            w[0, 0] = d_last
         lk[:, 0] = u_prev
         lk[:, 1:] = dk[:, :-1]
         lk += 1.0                      # 1 + u_(k-1)
@@ -240,6 +253,8 @@ def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
     Raises NotConverged, naming the first unsettled gamma, after
     _INVIT_MAX_STEPS steps.
     """
+    from scipy.linalg.lapack import dpttrs
+
     d, l, x = _gap_ldl_factors(j, gammas)
     nb, n = d.shape
     if n == 1:  # a 1x1 block is its eigenvalue; a lone dpttrs solve rounds unlike a batch
@@ -398,7 +413,7 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory,
     from the Holstein-Primakoff one-quasiparticle state: 2-6 steps at
     J >= 10^5 for gamma = 0 and |gamma| >= 0.5, up to 16 at small
-    |gamma|.  |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 9.0e-14 at
+    |gamma|.  |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 8.9e-14 at
     J = 1e6 and 5.6e-12 at J = 1e7.  method="dense" diagonalizes the
     block densely (J <= 200 only).
     The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.

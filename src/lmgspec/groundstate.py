@@ -108,19 +108,19 @@ def ground_state(j: SpinJ, gamma: float, frame: str = "factorized") -> GroundSta
         else:
             # c_{m-1} = (m coth(g) c_m + v_m c_{m+1}) / v_{m-1} from c_{J+1} = 0,
             # run as the ratios rho_m = c_m / c_{m-1}, which cannot overflow
-            m = np.arange(-jj, jj + 1.0)
             v = ladder(j)
             tv = (math.tanh(gamma) * v[jj:]).tolist() + [0.0]
             rho = accumulate(range(jj, 0, -1), initial=0.0,
                              func=lambda r, k: tv[k - 1] / (k + tv[k] * r))
-            half = np.cumprod(list(rho)[:0:-1])
+            half = np.cumprod(np.fromiter(rho, float, jj + 1)[:0:-1])
+            del tv  # a list of Python floats, 32 bytes an entry
             amps = np.concatenate((half[::-1], [1.0], half))
             p, e2 = _bonnet(jj, math.cosh(2.0 * gamma))
             norm_legendre = _ldexp(math.sqrt(math.ldexp(p, e2 & 1)), e2 >> 1,
                                    f"sqrt(P_{jj}(cosh 2 gamma)) at gamma={gamma!r}")
             p, e1 = _bonnet(jj, math.cosh(gamma))
-            w = math.sinh(gamma) * v
-            diag, lower, upper = math.cosh(gamma) * m, -w, w
+            w = np.multiply(v, math.sinh(gamma), out=v)
+            diag, lower, upper = math.cosh(gamma) * np.arange(-jj, jj + 1.0), -w, w
         c_norm = _norm(amps)
         norm_direct = 1.0 if frame == "rotated" else _ldexp(p * c_norm, e1, "norm_direct")
         amps = amps / c_norm

@@ -8,7 +8,8 @@ blocks.  Q2 is purely imaginary; its real content is r2 with Q2 = i*r2.
 
 verify_superalgebra checks the identities on the dense matrices and is the
 oracle; verify_superalgebra_bands checks them on O(J) bands, between the
-supercharge chain and the closed-form sector blocks.
+supercharge chain and the closed-form sector blocks.  The module needs numpy
+alone, so susy-check runs without importing scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch, EmptySpectrum, NonFiniteInput, NotIntegerSpin, OverflowRisk
 from .models import supercharge_chain, susy_sector_blocks
@@ -46,9 +46,14 @@ class Supercharges:
 
 def susy_sorted_hamiltonian(j: SpinJ, gamma: float) -> np.ndarray:
     """Rotated SUSY Hamiltonian in the supercharge basis, integer J: the
-    block diagonal of the zero and gap sector blocks, each ascending in m."""
+    block diagonal of the zero and gap sector blocks, each ascending in m,
+    written into a zero matrix of size 2J+1."""
     zero_sector, gap_sector = susy_sector_blocks(j, gamma)
-    return block_diag(zero_sector.to_dense(), gap_sector.to_dense())
+    k = zero_sector.n
+    h = np.zeros((j.dim, j.dim))
+    h[:k, :k] = zero_sector.to_dense()
+    h[k:, k:] = gap_sector.to_dense()
+    return h
 
 
 @np.errstate(over="raise")

@@ -152,7 +152,8 @@ def ldl_factors_one_row(j: SpinJ, gamma: float) -> tuple:
     """(d, l) of the gap-sector block's LDL^T factors at -|gamma|, one gamma
     at a time and in one unchunked dtbtrs solve: the construction that
     eigensolve._gap_ldl_factors runs for a whole batch, with the same
-    arithmetic, so the two agree bit for bit up to J = 2^16.  l[-1] = 0."""
+    arithmetic, so the two agree bit for bit at every J, also where the
+    kernel builds one row in column chunks.  l[-1] = 0."""
     e = supercharge_chain(j, -abs(gamma))
     a, b = e[0::2], e[1::2]
     c = np.square(b / a)

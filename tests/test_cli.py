@@ -5,14 +5,20 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmgspec
 from lmgspec import (
     GeneralTridiag,
     LmgError,
@@ -647,6 +653,34 @@ class TestFormats:
         comments = dict(l[2:].split("=") for l in text.splitlines() if l.startswith("# "))
         assert comments == {k: cli.fmt(v) for k, v in payload["summary"].items()
                             if argv[0] == "ground-state"}
+
+
+class TestImports:
+    def test_only_the_gap_loads_scipy(self):
+        # In a fresh interpreter: the zero mode and every command without a
+        # gap solve run on numpy alone; the first gap solve imports scipy.
+        script = textwrap.dedent('''
+            import contextlib, io, sys
+            import lmgspec, lmgspec.cli
+            lmgspec.ground_state(lmgspec.SpinJ(10), 0.3)
+            for argv in (["susy-check", "--j", "3", "--gamma", "0.4"],
+                         ["susy-check", "--j", "5/2", "--gamma", "0.4"],
+                         ["spectrum", "--j", "2,5/2", "--gamma", "0,0.5"],
+                         ["spectrum", "--j", "3", "--gamma", "0", "--model", "general",
+                          "--xi", "1", "--chi1", "2", "--chi2", "1", "--lambda", "0.7"],
+                         ["ground-state", "--j", "5", "--gamma", "0.3"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = lmgspec.cli.main(argv)
+                assert code == 0, (argv, code)
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+            lmgspec.spectral_gap(lmgspec.SpinJ(4), 0.5)
+            assert "scipy" in sys.modules
+        ''')
+        src = str(Path(lmgspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMain:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import (
@@ -340,10 +341,12 @@ class TestGapInverseIteration:
 
     @staticmethod
     def steps(monkeypatch, jj, gammas):
-        """dpttrs solves, one per step, that one batch takes to settle."""
+        """dpttrs solves, one per step, that one batch takes to settle.
+        The kernel imports dpttrs from scipy when it runs, so the spy
+        replaces scipy's own attribute."""
         calls = []
-        inner = eigensolve.dpttrs
-        monkeypatch.setattr(eigensolve, "dpttrs",
+        inner = scipy.linalg.lapack.dpttrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
         _gap_inverse_iteration(SpinJ(2 * jj), gammas)
         return len(calls)
@@ -560,8 +563,10 @@ class TestGapBits:
         assert got == list(self.HEX[jj])
         assert spectral_gap(SpinJ(2 * jj), self.GAMMAS[3]).gap.hex() == self.HEX[jj][3]
 
-    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536])
+    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536, 2 * 10**5, 10**6])
     def test_factors_equal_the_one_row_build(self, jj):
+        # Past J = 2^16 a row is built in column chunks, whose carries must
+        # round as one unchunked solve does.
         jv = SpinJ(2 * jj)
         rows = _batch_rows(jj)
         for s in range(0, len(self.GAMMAS), rows):
@@ -571,3 +576,7 @@ class TestGapBits:
                 d1, l1 = ldl_factors_one_row(jv, g)
                 assert np.array_equal(d[r], d1) and np.array_equal(l[r], l1)
                 assert np.array_equal(x[r], invit_start_one_row(jv, g))
+
+    def test_factors_do_not_depend_on_the_chunk_width(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_LDL_CHUNK", 1 << 12)
+        self.test_factors_equal_the_one_row_build(2 * 10**5)

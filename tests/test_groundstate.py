@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,17 @@ class TestGroundState:
         zero, _ = susy_sector_blocks(SpinJ(2 * jj), g)
         assert rot.energy_residual <= 1e-9 * float(np.max(zero.diag))
         assert math.isclose(float(np.linalg.norm(rot.amplitudes)), 1.0, rel_tol=1e-12)
+
+    def test_factorized_frame_peak_memory(self):
+        # Measured 7.5 doubles per basis entry (5.5 in the rotated frame)
+        jj = 2 * 10**5
+        tracemalloc.start()
+        try:
+            ground_state(SpinJ(2 * jj), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8.0 * (2 * jj + 1)
 
     @pytest.mark.parametrize("g", [-2.0, -0.4, 0.7, 1.9])
     @pytest.mark.parametrize("jj", [1, 2, 5, 13, 27, 40])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import ref_q1_j2, ref_r2_j2, ref_sorted_h_j2
 from lmgspec import (
@@ -18,6 +19,7 @@ from lmgspec import (
     build_susy_rotated,
     classify_spectrum,
     eig_dense_symmetric,
+    susy_sector_blocks,
     susy_sorted_hamiltonian,
     verify_superalgebra,
     verify_superalgebra_bands,
@@ -41,6 +43,12 @@ class TestSupercharges:
             ref_sorted_h_j2(g),
             atol=1e-13 * np.exp(2 * abs(g)),
         )
+
+    @pytest.mark.parametrize("two_j", [0, 2, 8, 20])
+    def test_sorted_hamiltonian_is_the_block_diagonal(self, two_j):
+        zero, gap = susy_sector_blocks(SpinJ(two_j), -0.7)
+        want = block_diag(zero.to_dense(), gap.to_dense())
+        assert np.array_equal(susy_sorted_hamiltonian(SpinJ(two_j), -0.7), want)
 
     @pytest.mark.parametrize("two_j", [2, 4, 6, 10, 16])
     def test_structure(self, two_j):
