@@ -49,6 +49,7 @@ from .eigensolve import (
     eig_dense_symmetric,
     eig_symtridiag,
     spectral_gap,
+    spectral_gap_cells,
     spectral_gaps,
 )
 from .groundstate import GroundState, ground_state, legendre_p

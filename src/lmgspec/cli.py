@@ -5,8 +5,9 @@ only the flags its cmd_* function reads.  Every table goes through emit, as
 CSV (default) or JSON, to stdout or --out; floats are formatted as shortest
 round-trip decimals so repeated runs are byte-identical.  Grid cells run
 serially in grid order.  gap-scan accepts --threads and rejects values below
-1, but reads it no further; it solves each J's whole gamma row in one
-spectral_gaps call.  spectrum --model general reads no gamma: it
+1, but reads it no further; it solves its whole (J, gamma) grid in one
+spectral_gap_cells call.  An empty J or gamma list is a usage error.  bench
+ends its table with the environment it measured in.  spectrum --model general reads no gamma: it
 diagonalizes once per J and repeats the levels for every gamma.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
@@ -25,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -33,8 +35,8 @@ import tracemalloc
 import numpy as np
 
 from .eigensolve import _gap_bound, charpoly_tridiag, eig_dense_symmetric, spectral_gap, \
-    spectral_gaps
-from .errors import LmgError, NotIntegerSpin
+    spectral_gap_cells
+from .errors import LmgError
 from .groundstate import ground_state
 from .models import HnBlocks, ModelParams, _general_from_dense, build_lmg_general, \
     build_susy_rotated, extract_hn_blocks, build_nonhermitian, h_minus_elements
@@ -76,7 +78,11 @@ def parse_j(text: str) -> SpinJ:
 
 
 def parse_j_values(text: str) -> list:
-    return [parse_j(tok) for tok in text.split(",") if tok]
+    """The comma-separated J values; a list without one is a usage error."""
+    values = [parse_j(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ConfigError(f"no J value in {text!r}")
+    return values
 
 
 def parse_gamma(text: str) -> float:
@@ -102,7 +108,10 @@ def gamma_grid(args) -> list:
     if args.gamma is not None:
         if (args.gamma_min, args.gamma_max, args.steps) != (None, None, None):
             raise ConfigError("--gamma conflicts with --gamma-min/--gamma-max/--steps")
-        return [parse_gamma(tok) for tok in args.gamma.split(",") if tok]
+        grid = [parse_gamma(tok) for tok in args.gamma.split(",") if tok]
+        if not grid:
+            raise ConfigError(f"--gamma: no gamma value in {args.gamma!r}")
+        return grid
     if args.gamma_min is None or args.gamma_max is None:
         raise ConfigError("need --gamma or both --gamma-min and --gamma-max")
     steps = 1 if args.steps is None else args.steps
@@ -224,14 +233,15 @@ def cmd_gap_scan(args) -> int:
     gammas = gamma_grid(args)
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
+    cells = [(jv, g) for jv in j_values for g in gammas]
+    # Half-integer J and J = 0, where spectral_gap raises NotIntegerSpin, give error rows.
+    defined = [jv.is_integer_spin() and jv.two_j >= 2 for jv, _ in cells]
+    results = iter(spectral_gap_cells(c for c, ok in zip(cells, defined) if ok))
     rows = []
-    for jv in j_values:
-        try:
-            results = spectral_gaps(jv, gammas)
-        except NotIntegerSpin:
-            rows += [(str(jv), g, None, None, "error") for g in gammas]
-        else:
-            rows += [(str(jv), g, r.gap, r.bound, r.satisfied) for g, r in zip(gammas, results)]
+    for (jv, g), ok in zip(cells, defined):
+        r = next(results) if ok else None
+        rows.append((str(jv), g, r.gap, r.bound, r.satisfied) if ok
+                    else (str(jv), g, None, None, "error"))
     n_err = sum(1 for r in rows if r[4] == "error")
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
     emit(args, config, GAP_HEADER, rows, {"n_rows": len(rows), "n_errors": n_err})
@@ -365,8 +375,27 @@ def cmd_bench(args) -> int:
         if not tracing:
             tracemalloc.stop()
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}
-    emit(args, config, BENCH_HEADER, rows, {"n_rows": len(rows)})
+    env = bench_env()
+    emit(args, config, BENCH_HEADER, rows, {"n_rows": len(rows)},
+         ["env " + " ".join(f"{k}={fmt(v)}" for k, v in env.items())], env=env)
     return 0
+
+
+def bench_env() -> dict:
+    """The interpreter, library versions and CPU count a bench table was
+    measured with.  Called after the solves, which import scipy; the
+    imports here would add to the start-up of every other command."""
+    import importlib.metadata
+    import importlib.util
+    import platform
+
+    import scipy
+
+    numba = "absent"
+    if importlib.util.find_spec("numba") is not None:
+        numba = importlib.metadata.version("numba")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "numba": numba, "cpus": os.cpu_count()}
 
 
 # ---------------------------------------------------------------- parser

@@ -7,9 +7,12 @@
   measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
   The iteration starts from the Holstein-Primakoff one-quasiparticle state,
   which at gamma = 0 is the gap vector itself.
-  The cells of one J run as one batch: their factors are built together,
-  one array operation for all cells, and stacked into one block-diagonal
-  matrix, so each step is one LAPACK dpttrs solve for all cells.
+  A list of (J, gamma) cells, such as a gap-scan's whole grid, runs as
+  batches of at most 2^16 doubles per row array (or one cell): the factors
+  of each J's cells are built together, one array operation for all of
+  them, and all rows of a batch form one block-diagonal matrix, so each
+  step is one LAPACK dpttrs solve for the batch.  A row leaves the batch
+  once it settles.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
@@ -25,6 +28,7 @@ takes about 0.2 s, and nothing else in the package needs scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -52,6 +56,7 @@ __all__ = [
     "eig_dense_symmetric",
     "charpoly_tridiag",
     "spectral_gap",
+    "spectral_gap_cells",
     "spectral_gaps",
 ]
 
@@ -80,11 +85,12 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
 _LDL_CHUNK = 1 << 16
 
 
-def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
-    """(d, l, x), (nb, J) arrays whose row r holds the LDL^T factors of the
-    gap-sector block X^T X at -|gammas[r]|, similarity-signed so that every
-    d_k > 0 and every l_k < 0, and l[r, J-1] = 0, and the start vector of
-    that row's inverse iteration.
+def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
+                     x: np.ndarray) -> None:
+    """Write into the (nb, J) arrays d, l and x: row r of d and l the LDL^T
+    factors of the gap-sector block X^T X at -|gammas[r]|, similarity-signed
+    so that every d_k > 0 and every l_k < 0, and l[r, J-1] = 0; row r of x
+    the start vector of that row's inverse iteration.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -120,19 +126,17 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
     rounds it.  Each chunk after the first starts its solve one column
     early, at the carried u_(s-1), so that dtbtrs rounds u_s as well:
     OpenBLAS rounds c + c u unlike numpy, and a carry added in numpy would
-    make the factors depend on _LDL_CHUNK.  A batch of several rows is one
-    chunk, at most _LDL_CHUNK wide in all through _batch_rows.  a and b are recomputed from v where
-    they are needed rather than stored: apart from d, l and x, the only
-    buffer the size of the batch is the dtbtrs band, whose row 0, the unit
-    diagonal that dtbtrs does not read, holds a_(k+1) for l.  So the build
-    holds at most _LDL_CHUNK doubles more than the iteration that follows.
+    make the factors depend on _LDL_CHUNK.  Several rows are one chunk, at
+    most _LDL_CHUNK wide in all, since their batch is (_batches).  a and b
+    are recomputed from v where they are needed rather than stored: apart
+    from d, l and x, the only buffer the size of the rows is the dtbtrs
+    band, whose row 0, the unit diagonal that dtbtrs does not read, holds
+    a_(k+1) for l.  So the build holds at most _LDL_CHUNK doubles more than
+    the iteration that follows.
     """
     from scipy.linalg.lapack import dtbtrs
 
     n, nb = j.two_j // 2, len(gammas)
-    d = np.empty((nb, n))
-    l = np.empty((nb, n))
-    x = np.empty((nb, n))
     up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
     down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
     width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
@@ -190,7 +194,6 @@ def _gap_ldl_factors(j: SpinJ, gammas: list) -> tuple:
         lk[:, :k] /= dk[:, :k]
         np.negative(lk[:, :k], out=lk[:, :k])
     l[:, -1] = 0.0
-    return d, l, x
 
 
 _INVIT_MAX_STEPS = 100
@@ -220,64 +223,138 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.add.reduce(parts, axis=1)
 
 
-def _batch_rows(n: int) -> int:
-    """Cells per batch of _gap_inverse_iteration at block size n: each row
-    array holds at most _LDL_CHUNK doubles, or one row."""
-    return max(1, _LDL_CHUNK // n)
+def _batches(cells: list):
+    """The (J, gamma) cells in grid order, cut into the batches of
+    _gap_inverse_iteration: each row array holds at most _LDL_CHUNK
+    doubles, or one row, so from J = 2^16 up a batch is one cell."""
+    batch, size = [], 0
+    for cell in cells:
+        n = cell[0].two_j // 2
+        if batch and size + n > _LDL_CHUNK:
+            yield batch
+            batch, size = [], 0
+        batch.append(cell)
+        size += n
+    if batch:
+        yield batch
 
 
-def _gap_inverse_iteration(j: SpinJ, gammas: list) -> np.ndarray:
-    """Spectral gaps for integer J >= 1, one per gamma, by inverse iteration
-    on the LDL^T factors of _gap_ldl_factors, from its start vectors x.
+def _blocks(buf: np.ndarray, groups: list) -> list:
+    """The (rows, J) block of each group in the flat buffer buf; groups
+    lists (first row, rows, J, first element) of each block."""
+    return [buf[p:p + m * n].reshape(m, n) for _, m, n, p in groups]
 
-    The cells' factors are the rows of (nb, J) arrays d and l, with l = 0
-    at the end of each row, so the stacked block-diagonal matrix decouples
-    and each step is one LAPACK dpttrs solve y = A^-1 x for all cells; the
-    solve rounds each block exactly as it would alone.  Each block's inverse
-    is entrywise positive and x > 0, so y stays positive and every sum in
-    the solve and in the dot products (_row_dots) adds positive terms.  Per
-    row, the Rayleigh quotient rho = x.y / y.y of y is an upper bound on
-    the smallest eigenvalue that never rises in exact arithmetic; the row
+
+def _compact(bufs: tuple, groups: list, keep: np.ndarray) -> list:
+    """Move the kept rows of the flat buffers forward in place, in order, over
+    the rows that leave, and return the groups of the kept rows.
+
+    Each run of kept rows is one slice assignment, which numpy copies front
+    to back without a temporary: a run that overlaps its new place is read
+    before it is overwritten.
+    """
+    kept = np.add.reduceat(keep, [r for r, _, _, _ in groups]).tolist()
+    runs = [0, *(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), keep.size]
+    edges, g = [], 0
+    for i in runs:  # each run's first row as an element offset
+        while g + 1 < len(groups) and groups[g + 1][0] <= i:
+            g += 1
+        r, _, n, p = groups[g]
+        edges.append(p + (i - r) * n)
+    to = 0
+    for a, b in zip(edges[1 - keep[0]::2], edges[2 - keep[0]::2]):
+        if a > to:
+            for buf in bufs:
+                buf[to:to + b - a] = buf[a:b]
+        to += b - a
+    out, r, p = [], 0, 0
+    for (_, _, n, _), m in zip(groups, kept):
+        if m:
+            out.append((r, m, n, p))
+            r, p = r + m, p + m * n
+    return out
+
+
+def _gap_inverse_iteration(cells: list) -> np.ndarray:
+    """Spectral gaps of one batch of (J, gamma) cells, integer J >= 1, by
+    inverse iteration on the LDL^T factors of _gap_ldl_factors, from its
+    start vectors x.
+
+    The factors are the rows of flat buffers d and l, the cells of one J a
+    (rows, J) block, with l = 0 at the end of each row, so the
+    block-diagonal matrix decouples and each step is one LAPACK dpttrs solve
+    y = A^-1 x for all rows; the solve rounds each block exactly as it
+    would alone.  Each block's inverse is entrywise positive and x > 0, so y
+    stays positive and every sum in the solve and in the dot products
+    (_row_dots, over each J's block) adds positive terms.  Per row, the
+    Rayleigh quotient rho = x.y / y.y of y is an upper bound on the
+    smallest eigenvalue that never rises in exact arithmetic; the row
     settles at the first step where rho falls by at most 2 eps relative,
     and its gap is the smaller of that step's rho and the one before.  A
-    settled row stays in the solve until the last row settles.  Each row of
-    d is first scaled by an exact power of two so that its smallest entry,
-    an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y then
-    stays in float64 range.  From the one-quasiparticle start a row takes
-    2-5 steps at J = 10^6 and |gamma| >= 0.2, where lambda_1/lambda_0 is
-    about 2 (12-15 from the zero mode's reciprocal, 27-28 from a flat
-    vector), and 2 at gamma = 0, where the start is the gap vector (3 at
-    J = 10^7, where the quotient moves by 6e-15 relative between steps 1
-    and 2).  At 1e-8 <= |gamma| <= 0.1 the start is further from the gap
-    vector and a row takes 7-16 steps at J = 10^6 (10-16 before).
-    Raises NotConverged, naming the first unsettled gamma, after
-    _INVIT_MAX_STEPS steps.
+    settled row leaves the batch: the rows after it move forward in the
+    same buffers (_compact), so each step solves only unsettled rows.  Each
+    row of d is first scaled by an exact power of two so that its smallest
+    entry, an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y
+    then stays in float64 range.  A 1x1 block is its own eigenvalue and
+    never enters a solve, whose Rayleigh quotient would round it.  From the
+    one-quasiparticle start a row takes 2-5 steps at J = 10^6 and
+    |gamma| >= 0.2, where lambda_1/lambda_0 is about 2 (12-15 from the zero
+    mode's reciprocal, 27-28 from a flat vector), and 2 at gamma = 0, where
+    the start is the gap vector (3 at J = 10^7, where the quotient moves by
+    6e-15 relative between steps 1 and 2).  At 1e-8 <= |gamma| <= 0.1 the
+    start is further from the gap vector and a row takes 7-16 steps at
+    J = 10^6 (10-16 before).  Raises NotConverged, naming the first
+    unsettled cell in grid order, after _INVIT_MAX_STEPS steps.
     """
     from scipy.linalg.lapack import dpttrs
 
-    d, l, x = _gap_ldl_factors(j, gammas)
-    nb, n = d.shape
-    if n == 1:  # a 1x1 block is its eigenvalue; a lone dpttrs solve rounds unlike a batch
-        return d[:, 0]
-    k = np.frexp(np.min(d, axis=1))[1]
-    np.ldexp(d, -k[:, None], out=d)
-    y = np.empty((nb, n))
-    scale = 1.0 / np.sqrt(_row_dots(x, x))  # each row of x * scale has unit norm
-    gaps = rho_old = np.full(nb, math.inf)
-    done = np.zeros(nb, dtype=bool)
-    d_flat, l_flat = d.ravel(), l.ravel()[:-1]
+    groups, r, p = [], 0, 0
+    for jv, run in itertools.groupby(cells, key=lambda cell: cell[0]):
+        m, n = len(list(run)), jv.two_j // 2
+        groups.append((r, m, n, p))
+        r, p = r + m, p + m * n
+    d, l, x = (np.empty(p) for _ in range(3))
+    gaps = np.empty(len(cells))
+    for (r, m, n, _), dk, lk, xk in zip(groups, *(_blocks(a, groups) for a in (d, l, x))):
+        _gap_ldl_factors(cells[r][0], [g for _, g in cells[r:r + m]], dk, lk, xk)
+        if n == 1:  # a 1x1 block is its own eigenvalue
+            gaps[r:r + m] = dk[:, 0]
+    cell = np.arange(len(cells))
+    lone = np.repeat([n == 1 for _, _, n, _ in groups], [m for _, m, _, _ in groups])
+    if lone.all():
+        return gaps
+    if lone.any():
+        groups, cell = _compact((d, l, x), groups, ~lone), cell[~lone]
+    k = np.empty(cell.size, dtype=np.intc)  # frexp's type: ldexp is 17x slower on int64
+    scale = np.empty(cell.size)  # each row of x * scale has unit norm
+    for (r, m, _, _), dk, xk in zip(groups, _blocks(d, groups), _blocks(x, groups)):
+        k[r:r + m] = np.frexp(np.min(dk, axis=1))[1]
+        np.ldexp(dk, -k[r:r + m, None], out=dk)
+        scale[r:r + m] = 1.0 / np.sqrt(_row_dots(xk, xk))
+    size = sum(m * n for _, m, n, _ in groups)
+    y = np.empty(size)
+    xb, yb = _blocks(x, groups), _blocks(y, groups)
+    rho = np.full(cell.size, math.inf)
     for _ in range(_INVIT_MAX_STEPS):
-        np.multiply(x, scale[:, None], out=y)
-        y = dpttrs(d_flat, l_flat, y.reshape(-1), overwrite_b=1)[0].reshape(nb, n)
-        yy = _row_dots(y, y)
-        rho = scale * _row_dots(x, y) / yy
-        gaps = np.where(done, gaps, np.minimum(rho, rho_old))
-        done |= rho_old - rho <= 2.0 * _EPS * rho
-        if done.all():
-            return np.ldexp(gaps, k)
-        rho_old, x, y = rho, y, x
+        for (r, m, _, _), xk, yk in zip(groups, xb, yb):
+            np.multiply(xk, scale[r:r + m, None], out=yk)
+        dpttrs(d[:size], l[:size - 1], y[:size], overwrite_b=1)
+        yy = np.concatenate(list(map(_row_dots, yb, yb)))
+        rho_old, rho = rho, scale * np.concatenate(list(map(_row_dots, xb, yb))) / yy
+        x, y, xb, yb = y, x, yb, xb
         scale = 1.0 / np.sqrt(yy)
-    raise NotConverged(f"J={j}, gamma={gammas[int(np.argmin(done))]!r}: "
+        settled = rho_old - rho <= 2.0 * _EPS * rho
+        if settled.any():
+            gaps[cell[settled]] = np.ldexp(np.minimum(rho, rho_old)[settled], k[settled])
+            keep = ~settled
+            if not keep.any():
+                return gaps
+            groups = _compact((d, l, x), groups, keep)
+            cell, k, scale, rho = cell[keep], k[keep], scale[keep], rho[keep]
+            size = sum(m * n for _, m, n, _ in groups)
+            xb, yb = _blocks(x, groups), _blocks(y, groups)
+    j, g = cells[cell[0]]
+    raise NotConverged(f"J={j}, gamma={g!r}: "
                        f"inverse iteration did not settle in {_INVIT_MAX_STEPS} steps")
 
 
@@ -385,29 +462,33 @@ def _gap_result(j: SpinJ, gamma: float, gap: float, bound: float) -> GapResult:
     return GapResult(gap=gap, bound=bound, satisfied=satisfied)
 
 
-def spectral_gaps(j: SpinJ, gammas) -> list:
-    """spectral_gap(j, gamma) for each gamma in gammas, as a list of
-    GapResult, bit-identical to the one-gamma calls.
+def spectral_gap_cells(cells) -> list:
+    """spectral_gap(j, gamma) for each (j, gamma) cell, as a list of
+    GapResult, bit-identical to the one-cell calls.
 
-    The cells share J, so they run in batches of _gap_inverse_iteration,
-    each holding at most max(1, 2^16 // J) cells: one cell at a time from
-    J = 2^16 up, so the memory is that of one spectral_gap call.  Every
-    gamma is checked, in order, before any is solved.
+    The cells run in grid order in batches of _gap_inverse_iteration, each
+    holding at most 2^16 doubles per row array, or one cell: from J = 2^16
+    up a cell runs alone, with the memory of one spectral_gap call.  Every
+    cell is checked, in order, before any is solved.
     """
-    gammas = list(gammas)
-    bounds = [_gap_bound(j, g) for g in gammas]
+    cells = list(cells)
+    bounds = [_gap_bound(j, g) for j, g in cells]
     gaps = []
-    if gammas:
-        rows = _batch_rows(j.two_j // 2)
-        for s in range(0, len(gammas), rows):
-            gaps += _gap_inverse_iteration(j, gammas[s:s + rows]).tolist()
-    return [_gap_result(j, g, gap, b) for g, gap, b in zip(gammas, gaps, bounds)]
+    for batch in _batches(cells):
+        gaps += _gap_inverse_iteration(batch).tolist()
+    return [_gap_result(j, g, gap, b) for (j, g), gap, b in zip(cells, gaps, bounds)]
+
+
+def spectral_gaps(j: SpinJ, gammas) -> list:
+    """spectral_gap(j, gamma) for each gamma in gammas: spectral_gap_cells
+    on the cells (j, gamma), at most max(1, 2^16 // J) to a batch."""
+    return spectral_gap_cells((j, g) for g in gammas)
 
 
 def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
 
-    method="tridiag" (spectral_gaps with one gamma): the smallest eigenvalue
+    method="tridiag" (spectral_gap_cells with one cell): the smallest eigenvalue
     of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
     block, by inverse iteration on its relatively accurate LDL^T factors
     (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory,
@@ -421,7 +502,7 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
     """
     if method == "tridiag":
-        return spectral_gaps(j, [gamma])[0]
+        return spectral_gap_cells([(j, gamma)])[0]
     bound = _gap_bound(j, gamma)
     if method != "dense":
         raise MethodUnavailable(f"unknown method {method!r}")

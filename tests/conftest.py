@@ -177,6 +177,14 @@ def invit_start_one_row(j: SpinJ, gamma: float) -> np.ndarray:
     return np.maximum(x, np.finfo(float).eps)
 
 
+
+# The criterion-10 J list, and 50 gammas that hold 0, +-1e-8 and the
+# slowest rows of the gap's inverse iteration, J |gamma| ~ 3-6 at every J of
+# the list.
+CRITERION_10_J = (5, 10, 15, 25, 30, 100, 1000)
+GRID_GAMMAS = ([0.0, 1e-8, -1e-8, 0.003, -0.004, 0.006, 0.12, -0.2, 0.3, 0.6, -1.0]
+               + np.linspace(-3.0, 3.0, 39).tolist())
+
 # ------------------------------------------------- J=2 reference matrices
 
 def ref_sorted_h_j2(g: float) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmgspec
+from conftest import CRITERION_10_J, GRID_GAMMAS
 from lmgspec import (
     GeneralTridiag,
     LmgError,
@@ -29,6 +32,7 @@ from lmgspec import (
     cli,
     eig_dense_symmetric,
     extract_hn_blocks,
+    spectral_gap,
 )
 from lmgspec.cli import main
 
@@ -313,6 +317,20 @@ class TestGapScan:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("j_list", [",".join(map(str, CRITERION_10_J)),
+                                        "1,2,1000,65537,5,5"])
+    def test_rows_are_the_per_cell_gaps(self, capsys, j_list):
+        # The second list holds a 1x1 block (J = 1), one-cell batches
+        # (J = 65537 > 2^16) and a repeated J after a smaller one.
+        code, out, _ = run(capsys, "gap-scan", "--j-list", j_list,
+                           "--gamma", ",".join(map(repr, GRID_GAMMAS)))
+        assert code == 0
+        rows = csv_rows(out)[1]
+        cells = [(j, g) for j in j_list.split(",") for g in GRID_GAMMAS]
+        assert [(r["j"], float(r["gamma"])) for r in rows] == cells
+        assert [float(r["gap"]).hex() for r in rows] == [
+            spectral_gap(SpinJ.from_j(j), g).gap.hex() for j, g in cells]
+
     def test_bad_threads(self, capsys):
         code, _, err = run(
             capsys, "gap-scan", "--j-list", "2", "--gamma", "0", "--threads", "0",
@@ -532,6 +550,21 @@ class TestFlags:
         assert err.startswith("error: --gamma-max") and err.count("\n") == 1
         code, out, _ = run(capsys, *argv, "--gamma-min", "1", "--gamma-max", "1", *steps)
         assert code == 0 and len(csv_rows(out)[1]) >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gap-scan", "--j-list", ",", "--gamma", "0.5"],
+        ["gap-scan", "--j-list", "5", "--gamma", ","],
+        ["bench", "--j-list", ",", "--gamma", "0.5"],
+        ["bench", "--j-list=", "--gamma", "0.5"],
+        ["bench", "--j-list", "5", "--gamma", ","],
+        ["spectrum", "--j", ",", "--gamma", "0"],
+        ["spectrum", "--j", "2", "--gamma", ","],
+    ])
+    def test_empty_j_or_gamma_list_is_one_error_line(self, capsys, argv):
+        # Once a header and exit 0, having checked nothing
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "no " in err and err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -796,6 +829,20 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--j-list", "100000,10", "--gamma", "0.5,0,400")
         assert (code, out) == (2, "") and len(calls) == 0
         assert err.startswith("error: J=100000, gamma=400.0:") and err.count("\n") == 1
+
+    def test_environment_in_both_formats(self, capsys):
+        argv = ["bench", "--j-list", "10", "--gamma", "0"]
+        code, text, _ = run(capsys, *argv)
+        json_code, payload, _ = run(capsys, *argv, "--format", "json")
+        env = json.loads(payload)["env"]
+        assert code == json_code == 0
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": sys.modules["scipy"].__version__, "numba": env["numba"],
+                       "cpus": os.cpu_count()}
+        if importlib.util.find_spec("numba") is None:
+            assert env["numba"] == "absent"
+        assert text.splitlines()[-1] == "# env " + " ".join(
+            f"{k}={cli.fmt(env[k])}" for k in ("python", "numpy", "scipy", "numba", "cpus"))
 
     def test_caller_tracing_is_left_on(self, capsys):
         tracemalloc.start()

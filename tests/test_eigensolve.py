@@ -1,6 +1,7 @@
 """Gap solvers, dense oracle, characteristic polynomials, gap machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import (
+    CRITERION_10_J,
+    GRID_GAMMAS,
     charpoly_dense,
     diagonal_lower_bound,
     gap_closed_form_j2,
@@ -18,7 +21,7 @@ from conftest import (
     symmetrize_tridiag,
 )
 from lmgspec import eigensolve
-from lmgspec.eigensolve import _batch_rows, _gap_inverse_iteration, _gap_ldl_factors
+from lmgspec.eigensolve import _batches, _gap_inverse_iteration, _gap_ldl_factors
 from lmgspec import (
     CharPoly,
     DimensionMismatch,
@@ -39,8 +42,16 @@ from lmgspec import (
     gap_sector_tridiag,
     h_minus_elements,
     spectral_gap,
+    spectral_gap_cells,
     spectral_gaps,
 )
+
+
+def ldl_factors(jv, gammas):
+    """_gap_ldl_factors into fresh (len(gammas), J) arrays d, l and x."""
+    d, l, x = np.empty((3, len(gammas), jv.two_j // 2))
+    _gap_ldl_factors(jv, gammas, d, l, x)
+    return d, l, x
 
 
 def random_tridiag(rng, n=12):
@@ -296,7 +307,7 @@ class TestGapInverseIteration:
         for jj in list(range(1, 41)) + [1000]:
             jv = SpinJ(2 * jj)
             chain = supercharge_sigma_min(jv, g) ** 2
-            assert abs(_gap_inverse_iteration(jv, [g])[0] - chain) <= 1e-12 * chain
+            assert abs(_gap_inverse_iteration([(jv, g)])[0] - chain) <= 1e-12 * chain
 
     @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
     @pytest.mark.parametrize("jj", [20001, 50000])
@@ -348,7 +359,7 @@ class TestGapInverseIteration:
         inner = scipy.linalg.lapack.dpttrs
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
-        _gap_inverse_iteration(SpinJ(2 * jj), gammas)
+        _gap_inverse_iteration([(SpinJ(2 * jj), g) for g in gammas])
         return len(calls)
 
     @pytest.mark.parametrize("g, most", [(0.8, 6), (-1.5, 6), (0.0, 2)])
@@ -365,8 +376,9 @@ class TestGapInverseIteration:
     def test_steps_of_a_batch(self, monkeypatch):
         # 14 steps (16 from the zero mode's reciprocal, 28 from the all-ones
         # vector), all 50 cells in one batch
-        assert _batch_rows(1000) >= 50
-        assert self.steps(monkeypatch, 1000, np.linspace(0.05, 3.0, 50).tolist()) <= 20
+        gammas = np.linspace(0.05, 3.0, 50).tolist()
+        assert len(list(_batches([(SpinJ(2000), g) for g in gammas]))) == 1
+        assert self.steps(monkeypatch, 1000, gammas) <= 20
 
     @pytest.mark.parametrize("jj", [1, 2, 3, 10, 25, 40])
     def test_start_satisfies_the_identity(self, jj):
@@ -400,7 +412,7 @@ class TestGapInverseIteration:
                         ax -= b[k - 1] * a[k] * x[k - 1]
                     lam = (jj - 2 * k) * mp.sinh(2 * t) + mp.exp(-2 * t)
                     assert abs(ax - lam * x[k]) <= mp.mpf(10) ** -35 * diag
-                start = _gap_ldl_factors(jv, [g])[2][0]
+                start = ldl_factors(jv, [g])[2][0]
                 want = np.array([max(float(xk), np.finfo(float).eps) for xk in x[:-1]])
                 assert np.allclose(start, want, rtol=4 * jj * np.finfo(float).eps, atol=0.0)
             assert abs(spectral_gap(jv, 0.0).gap - 1.0) <= 64 * np.finfo(float).eps
@@ -412,7 +424,7 @@ class TestGapInverseIteration:
         # float64 after two factors.
         jv = SpinJ(2 * jj)
         for g in (0.0, 0.5, -0.5, 300.0, -300.0):
-            x = _gap_ldl_factors(jv, [g])[2][0]
+            x = ldl_factors(jv, [g])[2][0]
             assert x[0] == 1.0 and np.isfinite(x).all() and x.min() >= np.finfo(float).eps
             assert np.array_equal(x, invit_start_one_row(jv, g))
 
@@ -420,7 +432,7 @@ class TestGapInverseIteration:
         jv = SpinJ(2)
         for g in (0.0, 0.4, -2.0):
             expect = math.cosh(2 * g)      # the 1x1 block a_0^2 + b_0^2
-            assert math.isclose(_gap_inverse_iteration(jv, [g])[0], expect, rel_tol=4e-16)
+            assert math.isclose(_gap_inverse_iteration([(jv, g)])[0], expect, rel_tol=4e-16)
             assert math.isclose(spectral_gap(jv, g).gap, expect, rel_tol=4e-16)
 
     def test_step_cap_raises(self, monkeypatch):
@@ -486,20 +498,74 @@ class TestSpectralGaps:
         with pytest.raises(NotConverged, match="gamma=0.7"):
             spectral_gaps(SpinJ(20), [0.0, 0.7, 0.0, 0.5])
 
+    def test_step_cap_names_the_first_unsettled_cell_in_grid_order(self, monkeypatch):
+        # Steps to settle: 15 at (J, gamma) = (20, 0.7), 21 at (10, 0.5) and
+        # 27 at (40, 0.05); all three cells share one batch.
+        monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 15)
+        cells = [(SpinJ(40), 0.7), (SpinJ(20), 0.5), (SpinJ(80), 0.05)]
+        with pytest.raises(NotConverged, match=r"^J=10, gamma=0\.5: "):
+            spectral_gap_cells(cells)
+        with pytest.raises(NotConverged, match=r"^J=40, gamma=0\.05: "):
+            spectral_gap_cells(cells[::-1])
+
     def test_large_j_batch_holds_one_cell(self, monkeypatch):
         # At J = 1e5 a row of the stacked arrays exceeds _LDL_CHUNK doubles,
-        # so each batch is one cell and the memory that of one solve.
-        assert _batch_rows(10**5) == 1 and _batch_rows(1000) == 65
+        # so each batch is one cell and the memory that of one solve; at
+        # J = 1000, 65 rows fill a batch.
+        assert [len(b) for b in _batches([(SpinJ(2000), 0.0)] * 66)] == [65, 1]
+        assert [len(b) for b in _batches([(SpinJ(2 * 10**5), 0.0), (SpinJ(10), 0.0)])] == [1, 1]
         sizes = []
 
-        def spy(j, gammas):
-            sizes.append(len(gammas))
-            return _gap_inverse_iteration(j, gammas)
+        def spy(cells):
+            sizes.append(len(cells))
+            return _gap_inverse_iteration(cells)
 
         monkeypatch.setattr(eigensolve, "_gap_inverse_iteration", spy)
         res = spectral_gaps(SpinJ(2 * 10**5), [0.0, 0.5, -1.0, 2.0])
         assert sizes == [1, 1, 1, 1]
         assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)
+
+
+class TestGapGrid:
+    """spectral_gap_cells on a whole (J, gamma) grid: one batch where the
+    rows fit in _LDL_CHUNK doubles, each row leaving it once it settles."""
+
+    CELLS = [(SpinJ(2 * jj), g) for jj in CRITERION_10_J for g in GRID_GAMMAS]
+
+    def test_grid_is_bitwise_equal_to_spectral_gap(self):
+        grid = spectral_gap_cells(self.CELLS)
+        assert [r.gap.hex() for r in grid] == [spectral_gap(j, g).gap.hex()
+                                               for j, g in self.CELLS]
+        assert spectral_gap_cells([]) == []
+
+    def test_dpttrs_calls_and_elements(self, monkeypatch):
+        # The grid is one batch of 59250 doubles.  Measured: 30 dpttrs
+        # solves of 605900 elements in all; one batch per J, each running
+        # until its slowest row settled, took 190 solves of 1651250.
+        assert len(list(_batches(self.CELLS))) == 1
+        sizes = []
+        inner = scipy.linalg.lapack.dpttrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
+                            lambda d, *a, **k: sizes.append(len(d)) or inner(d, *a, **k))
+        spectral_gap_cells(self.CELLS)
+        assert len(sizes) <= 32 and sum(sizes) <= 620000
+
+    def test_peak_memory(self):
+        # Measured: 2.50 MB for the grid; 2.23 MB for the J = 1000 row alone
+        # (50 cells), as when each J was its own batch.
+        spectral_gaps(SpinJ(10), [0.5])  # scipy's first-call allocations
+        tracemalloc.start()
+        try:
+            peaks = []
+            for cells in [self.CELLS] + [[(j, g) for j, g in self.CELLS if j == jv]
+                                         for jv in {j for j, _ in self.CELLS}]:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                spectral_gap_cells(cells)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= max(peaks[1:]) + 8 * eigensolve._LDL_CHUNK
 
 
 class TestGapBits:
@@ -568,11 +634,9 @@ class TestGapBits:
         # Past J = 2^16 a row is built in column chunks, whose carries must
         # round as one unchunked solve does.
         jv = SpinJ(2 * jj)
-        rows = _batch_rows(jj)
-        for s in range(0, len(self.GAMMAS), rows):
-            batch = self.GAMMAS[s:s + rows]
-            d, l, x = _gap_ldl_factors(jv, batch)
-            for r, g in enumerate(batch):
+        for batch in _batches([(jv, g) for g in self.GAMMAS]):
+            d, l, x = ldl_factors(jv, [g for _, g in batch])
+            for r, (_, g) in enumerate(batch):
                 d1, l1 = ldl_factors_one_row(jv, g)
                 assert np.array_equal(d[r], d1) and np.array_equal(l[r], l1)
                 assert np.array_equal(x[r], invit_start_one_row(jv, g))
