@@ -28,7 +28,6 @@ from .models import (
     build_susy_rotated,
     extract_hn_blocks,
     gap_sector_tridiag,
-    h_minus_elements,
     supercharge_chain,
     susy_sector_blocks,
 )

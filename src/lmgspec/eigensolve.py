@@ -18,8 +18,8 @@
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
   spectra that spectrum and susy-check classify and for cross-checks.
 * Characteristic polynomials by a three-term recurrence for tridiagonal
-  matrices, used to verify the determinant factorization of the
-  non-Hermitian form.
+  matrices, with which acceptance criterion 6 and the tests verify the
+  determinant factorization of the non-Hermitian form.
 
 scipy's LAPACK wrappers (dtbtrs, dpttrs, eigvalsh_tridiagonal) are imported
 inside the functions that call them, on their first call: importing scipy.linalg

@@ -32,7 +32,6 @@ __all__ = [
     "build_factorized",
     "build_nonhermitian",
     "extract_hn_blocks",
-    "h_minus_elements",
     "susy_sector_blocks",
     "gap_sector_tridiag",
     "supercharge_chain",
@@ -159,31 +158,6 @@ def extract_hn_blocks(hn: np.ndarray, j: SpinJ) -> HnBlocks:
     h_plus = _general_from_dense(hn[jj + 1:, jj + 1:])
     a_vec = hn[jj, :jj][::-1].copy()
     return HnBlocks(h_minus=h_minus, h_plus=h_plus, a_vec=a_vec)
-
-
-def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:
-    """H- built directly from its closed-form matrix elements.
-
-    Indices m, m' = -J .. -1 ascending; diagonal m^2 cosh(2g), off-diagonals
-    proportional to sinh(2g) with opposite signs above and below.  Must agree
-    entrywise with extract_hn_blocks' slice, so it takes build_nonhermitian's guard.
-    """
-    if not j.is_integer_spin():
-        raise NotIntegerSpin("H- is defined for integer J")
-    jj = j.two_j // 2
-    if jj < 1:
-        raise NotIntegerSpin("H- needs J >= 1")
-    _check_gamma(j, gamma)
-    c2, s2 = math.cosh(2.0 * gamma), math.sinh(2.0 * gamma)
-    m = np.arange(-jj, 0, dtype=float)
-    alpha = m * m * c2
-    # superdiagonal (row m, col m+1): -(m'/2)sqrt((J+m')(J-m'+1)) sinh(2g), m' = m+1
-    mp = m[1:]
-    sup = -(mp / 2.0) * np.sqrt((jj + mp) * (jj - mp + 1.0)) * s2
-    # subdiagonal (row m, col m-1): +(m'/2)sqrt((J-m')(J+m'+1)) sinh(2g), m' = m-1
-    mq = m[:-1]
-    sub = (mq / 2.0) * np.sqrt((jj - mq) * (jj + mq + 1.0)) * s2
-    return GeneralTridiag(alpha=alpha, beta=-sup, gamma_sub=sub)
 
 
 def _sym_block(j: SpinJ, gamma: float, m: np.ndarray) -> SymTridiag:

@@ -68,11 +68,3 @@ class GeneralTridiag:
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.alpha) + np.diag(-self.beta, 1) + np.diag(self.gamma_sub, -1)
-
-    def reversed_conjugate(self) -> "GeneralTridiag":
-        """Conjugation by the index-reversal permutation."""
-        return GeneralTridiag(
-            alpha=self.alpha[::-1].copy(),
-            beta=-self.gamma_sub[::-1].copy(),
-            gamma_sub=-self.beta[::-1].copy(),
-        )

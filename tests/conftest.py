@@ -7,9 +7,11 @@ explicit J=2 reference matrices (analytic closed forms over cosh/sinh of
 share no code with the implementation.  The exceptions are independent
 kernels rather than independent constructions: supercharge_sigma_min
 (LAPACK dstebz) takes the supercharge chain from lmgspec.models,
-charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly, and
+charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly,
+charpoly_factorization_residual compares lmgspec's charpoly_tridiag
+polynomials, and h_minus_elements, reversed_conjugate,
 symmetrize_tridiag and diagonal_lower_bound, the similarity argument for
-the gap bound cosh(2*gamma), act on lmgspec's GeneralTridiag, and
+the gap bound cosh(2*gamma), build or act on lmgspec's GeneralTridiag, and
 ldl_factors_one_row repeats the gap kernel's factor arithmetic one gamma
 at a time.
 """
@@ -27,6 +29,7 @@ from lmgspec import (
     GeneralTridiag,
     OverflowRisk,
     SpinJ,
+    charpoly_tridiag,
     supercharge_chain,
 )
 
@@ -106,6 +109,55 @@ def charpoly_dense(m: np.ndarray) -> CharPoly:
         coeffs[n - k] = c
         work = work + c * np.eye(n, dtype=np.longdouble)
     return CharPoly(coeffs.astype(float))
+
+
+def charpoly_factorization_residual(hn: np.ndarray, blocks) -> float:
+    """Largest coefficient residual of det(x - hn) = x det(x - H+) det(x - H-)
+    for the non-Hermitian form hn and its extract_hn_blocks, relative to
+    max(1, |coefficient|).
+
+    The coefficients grow like max|hn|^dim, so every matrix is first scaled
+    by the same exact power of two 2^-k, with max|hn| / 2^k in [1/2, 1): the
+    identity is unchanged and the coefficients stay in float64 up to
+    gamma = 300.
+    """
+    k = math.frexp(float(np.max(np.abs(hn))))[1]
+
+    def scaled_charpoly(t: GeneralTridiag) -> CharPoly:
+        return charpoly_tridiag(GeneralTridiag(
+            alpha=np.ldexp(t.alpha, -k), beta=np.ldexp(t.beta, -k),
+            gamma_sub=np.ldexp(t.gamma_sub, -k)))
+
+    lhs = scaled_charpoly(GeneralTridiag(
+        alpha=np.diag(hn), beta=-np.diag(hn, 1), gamma_sub=np.diag(hn, -1)))
+    rhs = (scaled_charpoly(blocks.h_plus) * scaled_charpoly(blocks.h_minus)).times_lambda()
+    scale = np.maximum(1.0, np.abs(rhs.coeffs))
+    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs) / scale))
+
+
+def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:
+    """H- of the non-Hermitian form, from its closed-form matrix elements,
+    for integer J >= 1.
+
+    Indices m, m' = -J .. -1 ascending; diagonal m^2 cosh(2g), off-diagonals
+    proportional to sinh(2g) with opposite signs above and below.
+    """
+    jj = j.two_j // 2
+    c2, s2 = math.cosh(2.0 * gamma), math.sinh(2.0 * gamma)
+    m = np.arange(-jj, 0, dtype=float)
+    # superdiagonal (row m, col m+1): -(m'/2)sqrt((J+m')(J-m'+1)) sinh(2g), m' = m+1
+    mp = m[1:]
+    sup = -(mp / 2.0) * np.sqrt((jj + mp) * (jj - mp + 1.0)) * s2
+    # subdiagonal (row m, col m-1): +(m'/2)sqrt((J-m')(J+m'+1)) sinh(2g), m' = m-1
+    mq = m[:-1]
+    sub = (mq / 2.0) * np.sqrt((jj - mq) * (jj + mq + 1.0)) * s2
+    return GeneralTridiag(alpha=m * m * c2, beta=-sup, gamma_sub=sub)
+
+
+def reversed_conjugate(g: GeneralTridiag) -> GeneralTridiag:
+    """g conjugated by the index-reversal permutation."""
+    return GeneralTridiag(alpha=g.alpha[::-1].copy(), beta=-g.gamma_sub[::-1].copy(),
+                          gamma_sub=-g.beta[::-1].copy())
 
 
 def symmetrize_tridiag(a: GeneralTridiag) -> tuple:

@@ -14,6 +14,7 @@ from conftest import (
     charpoly_dense,
     diagonal_lower_bound,
     gap_closed_form_j2,
+    h_minus_elements,
     invit_start_one_row,
     ldl_factors_one_row,
     sign_canonical,
@@ -40,7 +41,6 @@ from lmgspec import (
     eig_dense_symmetric,
     eig_symtridiag,
     gap_sector_tridiag,
-    h_minus_elements,
     spectral_gap,
     spectral_gap_cells,
     spectral_gaps,

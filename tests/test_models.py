@@ -1,5 +1,6 @@
 """Hamiltonian builders: the four model forms and their block structure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,18 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (
+    charpoly_factorization_residual,
     complex_spin_ops,
+    h_minus_elements,
     oracle_h_susy,
     ref_a_vec_j2,
     ref_h_minus_j2,
     ref_h_plus_j2,
     ref_hn_j2,
+    reversed_conjugate,
 )
 from lmgspec import (
+    GeneralTridiag,
     ModelParams,
     NonFiniteInput,
     NotIntegerSpin,
@@ -28,7 +33,6 @@ from lmgspec import (
     eig_dense_symmetric,
     extract_hn_blocks,
     gap_sector_tridiag,
-    h_minus_elements,
     supercharge_chain,
     susy_sector_blocks,
     susy_sorted_hamiltonian,
@@ -143,15 +147,39 @@ class TestNonHermitianBlocks:
     def test_h_plus_is_reversed_h_minus(self, two_j):
         jv = SpinJ(two_j)
         b = extract_hn_blocks(build_nonhermitian(jv, 0.7), jv)
-        assert np.array_equal(
-            b.h_plus.reversed_conjugate().to_dense(), b.h_minus.to_dense()
-        )
+        assert np.array_equal(reversed_conjugate(b.h_plus).to_dense(), b.h_minus.to_dense())
 
     def test_half_integer_rejected(self):
         with pytest.raises(NotIntegerSpin):
             extract_hn_blocks(np.zeros((4, 4)), SpinJ(3))
-        with pytest.raises(NotIntegerSpin):
-            h_minus_elements(SpinJ(3), 0.5)
+
+
+class TestCharpolyFactorization:
+    """det(x - Hn) = x det(x - H+) det(x - H-), compared after one exact
+    power-of-two scaling, so it holds at rounding level far past the gamma
+    range of acceptance criterion 6."""
+
+    @pytest.mark.parametrize("gamma", [15.0, 30.0, 100.0, 236.5, 300.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("jj", [1, 2, 5, 12])
+    def test_large_gamma(self, jj, sign, gamma):
+        jv = SpinJ(2 * jj)
+        hn = build_nonhermitian(jv, sign * gamma)
+        assert charpoly_factorization_residual(hn, extract_hn_blocks(hn, jv)) <= 1e-8
+
+    @pytest.mark.parametrize("gamma", [0.7, 100.0])
+    def test_residual_detects_h_minus_error(self, gamma):
+        jv = SpinJ(4)
+        hn = build_nonhermitian(jv, gamma)
+        blocks = extract_hn_blocks(hn, jv)
+        assert charpoly_factorization_residual(hn, blocks) <= 1e-8
+        h_minus = blocks.h_minus
+        beta = h_minus.beta.copy()
+        beta[0] *= 1.0 + 1e-6
+        mutant = dataclasses.replace(
+            blocks, h_minus=GeneralTridiag(h_minus.alpha, beta, h_minus.gamma_sub)
+        )
+        assert charpoly_factorization_residual(hn, mutant) > 1e-8
 
 
 class TestSectorBlocks:
@@ -233,7 +261,7 @@ class TestSectorBlocks:
 GUARDED = {
     "supercharge_chain": (supercharge_chain, lambda e: [e]),
     "build_supercharges": (build_supercharges, lambda s: [s.q1, s.r2]),
-    "h_minus_elements": (h_minus_elements, lambda t: [t.to_dense()]),
+    "build_nonhermitian": (build_nonhermitian, lambda hn: [hn]),
 }
 
 
@@ -245,7 +273,7 @@ class TestGammaGuard:
         *[(name, 2, g, NonFiniteInput)
           for name in GUARDED for g in (math.nan, math.inf, -math.inf)],
         *[(name, 2, g, OverflowRisk) for name in GUARDED for g in (800.0, -800.0)],
-        ("h_minus_elements", 2 * 10**6, 345.0, OverflowRisk),
+        ("build_nonhermitian", 2 * 10**6, 345.0, OverflowRisk),
         ("supercharge_chain", 2 * 10**6, 705.0, OverflowRisk),
     ])
     def test_raises(self, name, two_j, g, error):
@@ -254,13 +282,13 @@ class TestGammaGuard:
 
     # A gamma just inside each builder's range, and one 0.01 past it: the
     # chain and the supercharges stop where an entry overflows, and
-    # h_minus_elements where build_nonhermitian, of which it is a slice, does.
+    # build_nonhermitian where 2 cosh^2(g) J(J+1) does.
     @pytest.mark.parametrize("name, two_j, edge", [
         ("supercharge_chain", 2, 709.78),
         ("supercharge_chain", 2 * 10**6, 696.66),
         ("build_supercharges", 2, 710.12),
         ("build_supercharges", 20, 708.12),
-        ("h_minus_elements", 2, 354.89),
+        ("build_nonhermitian", 2, 354.89),
     ])
     def test_edge(self, name, two_j, edge):
         build, arrays = GUARDED[name]
