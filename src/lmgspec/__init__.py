@@ -49,7 +49,6 @@ from .eigensolve import (
     eig_symtridiag,
     spectral_gap,
     spectral_gap_cells,
-    spectral_gaps,
 )
 from .groundstate import GroundState, ground_state, legendre_p
 

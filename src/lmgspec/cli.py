@@ -11,10 +11,10 @@ ends its table with the environment it measured in.  spectrum --model general re
 diagonalizes once per J and repeats the levels for every gamma.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
-(susy.verify_superalgebra_bands) and classifies the dense spectrum of H, so
-it stops at J = 2000.  The parser is built once per process; main
-dispatches to cmd_<command> by name at call time, so a replaced cmd_*
-function is the one that runs.
+(susy.verify_superalgebra_bands), each residual printed beside its bound,
+and classifies the dense spectrum of H, so it stops at J = 2000.  The
+parser is built once per process; main dispatches to cmd_<command> by
+name at call time, so a replaced cmd_* function is the one that runs.
 
 Exit status: 0 = success, 1 = verification failure, 2 = usage/config error,
 an unwritable output path or a J too large to allocate.
@@ -144,33 +144,6 @@ def emit(args, config: dict, header: list, rows: list, summary: dict, comments=(
     write(args, text + "\n")
 
 
-def emit_plot_script(path: str, command: str, csv_path, j_values) -> None:
-    lines = [
-        "# gnuplot script",
-        'set datafile separator ","',
-        "set key outside",
-        "set xlabel 'gamma'",
-    ]
-    if command == "gap-scan":
-        lines += [
-            "set ylabel 'gap'",
-            "plot \\",
-        ]
-        parts = [
-            f"  '{csv_path}' using 2:($1=={fmt(jv.j)}?$3:1/0) with lines title 'J={jv}', \\"
-            for jv in j_values
-        ]
-        parts.append("  cosh(2*x) with lines lw 2 title 'bound cosh(2*gamma)'")
-        lines += parts
-    else:
-        lines += [
-            "set ylabel 'energy'",
-            f"plot '{csv_path}' using 2:4 with dots title 'levels'",
-        ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------- spectrum
 
 SPECTRUM_HEADER = ["j", "gamma", "level_index", "eigenvalue", "pair_id", "is_zero_mode"]
@@ -214,8 +187,6 @@ def cmd_spectrum(args) -> int:
         "model": args.model, "tol": tol if args.model == "susy" else None,
     }
     emit(args, config, SPECTRUM_HEADER, rows, {"n_rows": len(rows)})
-    if args.emit_plot:
-        emit_plot_script(args.emit_plot, "spectrum", args.out, j_values)
     return 0
 
 
@@ -241,8 +212,6 @@ def cmd_gap_scan(args) -> int:
     n_err = sum(1 for r in rows if r[4] == "error")
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
     emit(args, config, GAP_HEADER, rows, {"n_rows": len(rows), "n_errors": n_err})
-    if args.emit_plot:
-        emit_plot_script(args.emit_plot, "gap-scan", args.out, j_values)
     return 1 if rows and n_err == len(rows) else 0
 
 
@@ -255,27 +224,30 @@ def cmd_susy_check(args) -> int:
     if jv.dim > SUSY_CHECK_DIM_LIMIT:
         raise ConfigError(f"J={jv} exceeds the susy-check limit (dim <= {SUSY_CHECK_DIM_LIMIT})")
     _, report = susy_levels(jv, g, tol)
-    checks = []        # (name, passed, detail)
+    checks = []        # (name, passed, detail, bound or None)
     if jv.is_integer_spin():
         res = verify_superalgebra_bands(jv, g)
-        bound = 1e-10 * max(1.0, res.h_norm)
+        bound = res.bound()
         for name, r in (("q1_sq", res.r_q1_sq), ("q2_sq", res.r_q2_sq),
                         ("anticommutator", res.r_anti), ("commutators", res.r_comm)):
-            checks.append(("superalgebra_" + name, r <= bound, r))
-        checks.append(("spectrum_classification", report.verdict == "SusyPattern", report.verdict))
+            checks.append(("superalgebra_" + name, r <= bound, r, bound))
+        checks.append(("spectrum_classification", report.verdict == "SusyPattern",
+                       report.verdict, None))
     else:
         # For half-integer J, det T = +-prod e_{2k}^2 != 0 holds identically.
         broken_ok = report.verdict == "SusyBroken"
-        checks.append(("spectrum_classification_broken", broken_ok, report.verdict))
+        checks.append(("spectrum_classification_broken", broken_ok, report.verdict, None))
 
-    all_pass = all(ok for _, ok, _ in checks)
+    all_pass = all(ok for _, ok, _, _ in checks)
     if args.format == "json":
         emit(args, {"command": "susy-check", "j": str(jv), "gamma": g},
-             ["check", "passed", "detail"], [(n, bool(ok), fmt(d)) for n, ok, d in checks],
+             ["check", "passed", "detail", "bound"],
+             [(n, bool(ok), fmt(d), b) for n, ok, d, b in checks],
              {"verdict": report.verdict, "all_passed": all_pass})
     else:
         lines = [f"susy-check J={jv} gamma={fmt(g)}"]
-        lines += [f"  {'PASS' if ok else 'FAIL'}  {n}  {fmt(d)}" for n, ok, d in checks]
+        lines += [f"  {'PASS' if ok else 'FAIL'}  {n}  {fmt(d)}"
+                  + ("" if b is None else f"  bound {fmt(b)}") for n, ok, d, b in checks]
         write(args, "\n".join(lines + [f"verdict: {report.verdict}"]) + "\n")
     return 0 if all_pass else 1
 
@@ -362,15 +334,8 @@ def bench_env() -> dict:
 
 # ---------------------------------------------------------------- parser
 
-# The flags that only some subcommands read.
-_OPTIONAL_FLAGS = {
-    "emit-plot": dict(help="write a gnuplot script referencing the CSV"),
-    "tol": dict(type=float, help="pairing tolerance (default 1e-8)"),
-}
-
-
-def _add_common(p, *optional, gamma_single=False):
-    """The gamma flags, --format and --out, plus the named optional flags."""
+def _add_common(p, gamma_single=False):
+    """The gamma flags, --format and --out."""
     if gamma_single:
         p.add_argument("--gamma", dest="gamma_value", required=True,
                        help="anisotropy parameter (single value)")
@@ -382,8 +347,6 @@ def _add_common(p, *optional, gamma_single=False):
                        help="grid points, endpoints included (default 1)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
-    for name in optional:
-        p.add_argument("--" + name, **_OPTIONAL_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,16 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi1", type=float)
     p.add_argument("--chi2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
-    _add_common(p, "emit-plot", "tol")
+    _add_common(p)
+    p.add_argument("--tol", type=float, help="pairing tolerance (default 1e-8)")
 
     p = sub.add_parser("gap-scan", help="spectral gap vs analytic bound")
     p.add_argument("--j-list", required=True)
     p.add_argument("--threads", type=int, help="validated (>= 1); cells run serially")
-    _add_common(p, "emit-plot")
+    _add_common(p)
 
     p = sub.add_parser("susy-check", help="verify supersymmetric structure")
     p.add_argument("--j", required=True)
-    _add_common(p, "tol", gamma_single=True)
+    _add_common(p, gamma_single=True)
+    p.add_argument("--tol", type=float, help="pairing tolerance (default 1e-8)")
 
     p = sub.add_parser("ground-state", help="closed-form zero mode")
     p.add_argument("--j", required=True)
@@ -442,8 +407,6 @@ def main(argv=None) -> int:
     try:
         if [] in vars(args).values():  # argparse stores an explicit "--" value as []
             raise ConfigError("'--' is not an option value")
-        if getattr(args, "emit_plot", None) and not args.out:
-            raise ConfigError("--emit-plot needs --out (the script references the CSV file)")
         return command(args)
     except (ConfigError, LmgError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,6 @@ __all__ = [
     "charpoly_tridiag",
     "spectral_gap",
     "spectral_gap_cells",
-    "spectral_gaps",
 ]
 
 _EPS = np.finfo(float).eps
@@ -70,7 +69,7 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
     One LAPACK dstebz bisection with the absolute tolerance 2*tiny, its most
     accurate setting: the error is a few ulps of ||t||.  scipy's default
     tolerance leaves 2.2e-12 relative at J = 20000, gamma = 0.5 on the gap
-    sector block.  No longer on the gap path.
+    sector block.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -298,12 +297,11 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
     then stays in float64 range.  A 1x1 block is its own eigenvalue and
     never enters a solve, whose Rayleigh quotient would round it.  From the
     one-quasiparticle start a row takes 2-5 steps at J = 10^6 and
-    |gamma| >= 0.2, where lambda_1/lambda_0 is about 2 (12-15 from the zero
-    mode's reciprocal, 27-28 from a flat vector), and 2 at gamma = 0, where
-    the start is the gap vector (3 at J = 10^7, where the quotient moves by
-    6e-15 relative between steps 1 and 2).  At 1e-8 <= |gamma| <= 0.1 the
-    start is further from the gap vector and a row takes 7-16 steps at
-    J = 10^6 (10-16 before).  Raises NotConverged, naming the first
+    |gamma| >= 0.2, where lambda_1/lambda_0 is about 2, and 2 at gamma = 0,
+    where the start is the gap vector (3 at J = 10^7, where the quotient
+    moves by 6e-15 relative between steps 1 and 2).  At 1e-8 <= |gamma| <=
+    0.1 the start is further from the gap vector and a row takes 7-16 steps
+    at J = 10^6.  Raises NotConverged, naming the first
     unsettled cell in grid order, after _INVIT_MAX_STEPS steps.
     """
     from scipy.linalg.lapack import dpttrs
@@ -477,12 +475,6 @@ def spectral_gap_cells(cells) -> list:
     for batch in _batches(cells):
         gaps += _gap_inverse_iteration(batch).tolist()
     return [_gap_result(j, g, gap, b) for (j, g), gap, b in zip(cells, gaps, bounds)]
-
-
-def spectral_gaps(j: SpinJ, gammas) -> list:
-    """spectral_gap(j, gamma) for each gamma in gammas: spectral_gap_cells
-    on the cells (j, gamma), at most max(1, 2^16 // J) to a batch."""
-    return spectral_gap_cells((j, g) for g in gammas)
 
 
 def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:

@@ -104,8 +104,12 @@ class SuperalgebraResiduals:
     r_comm: float
     h_norm: float
 
+    def bound(self, tol: float = 1e-10) -> float:
+        """The largest residual that passes: tol * max(1, ||H||)."""
+        return tol * max(1.0, self.h_norm)
+
     def passed(self, tol: float = 1e-10) -> bool:
-        bound = tol * max(1.0, self.h_norm)
+        bound = self.bound(tol)
         return all(
             r <= bound for r in (self.r_q1_sq, self.r_q2_sq, self.r_anti, self.r_comm)
         )
@@ -149,8 +153,8 @@ def verify_superalgebra_bands(j: SpinJ, gamma: float) -> SuperalgebraResiduals:
               e[0::2] and subdiagonal e[1::2]; the other block is minus its
               transpose.  [T, H] rounds at eps*|T|*|H|, so T is scaled by the
               exact power of two that puts max(e) / 2^k in [1, 2): the
-              residual then rounds at eps*|H|, the level of the bound in
-              passed(), and no product overflows inside the gamma guard.
+              residual then rounds at eps*|H|, the level of bound(), and no
+              product overflows inside the gamma guard.
     r_q2_sq, r_anti : r2 = diag(-I, I) Q1, and Q1 anticommutes with
               D = diag(-I, I), so r2^T r2 = Q1 D D Q1 = Q1^2 and
               Q1 r2 + r2 Q1 = (Q1 D + D Q1) Q1 = 0; likewise

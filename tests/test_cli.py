@@ -1,12 +1,15 @@
-"""End-to-end CLI tests: exit codes, CSV/JSON schemas, determinism, plots."""
+"""End-to-end CLI tests: exit codes, CSV/JSON schemas, determinism, flags."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -29,6 +32,7 @@ from lmgspec import (
     cli,
     eig_dense_symmetric,
     spectral_gap,
+    verify_superalgebra_bands,
 )
 from lmgspec.cli import main
 
@@ -355,35 +359,6 @@ class TestGapScan:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_emit_plot(self, capsys, tmp_path):
-        csv_path = tmp_path / "scan.csv"
-        plot_path = tmp_path / "scan.gp"
-        code = main([
-            "gap-scan", "--j-list", "2,3", "--gamma-min", "0", "--gamma-max", "1",
-            "--steps", "5", "--out", str(csv_path), "--emit-plot", str(plot_path),
-        ])
-        assert code == 0
-        script = plot_path.read_text()
-        assert str(csv_path) in script
-        assert "cosh(2*x)" in script
-
-    def test_emit_plot_requires_out(self, capsys, tmp_path):
-        # Checked before any solve, so no CSV reaches stdout
-        plot_path = tmp_path / "x.gp"
-        for argv in (["gap-scan", "--j-list", "2"], ["spectrum", "--j", "2"]):
-            code, out, err = run(capsys, *argv, "--gamma", "0", "--emit-plot", str(plot_path))
-            assert code == 2 and out == ""
-            assert err.startswith("error: --emit-plot") and err.count("\n") == 1
-        assert not plot_path.exists()
-
-    def test_unwritable_emit_plot_is_one_error_line(self, capsys, tmp_path):
-        csv_path = tmp_path / "scan.csv"
-        code, out, err = run(capsys, "gap-scan", "--j-list", "2", "--gamma", "0", "--out",
-                             str(csv_path), "--emit-plot", str(tmp_path / "missing" / "x.gp"))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert csv_path.exists()  # the CSV is written before the script
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         j_tokens=st.lists(st.one_of(
@@ -500,6 +475,19 @@ class TestSusyCheck:
         names = {row["check"] for row in payload["rows"]}
         assert "superalgebra_q1_sq" in names
 
+    @pytest.mark.parametrize("gamma", ["0.7", "-30", "100"])
+    def test_superalgebra_lines_carry_their_bound(self, capsys, gamma):
+        res = verify_superalgebra_bands(SpinJ(24), float(gamma))
+        argv = ["susy-check", "--j", "12", "--gamma", gamma]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        lines = text.splitlines()[1:-1]
+        suffix = f"  bound {cli.fmt(res.bound())}"
+        assert [l.endswith(suffix) for l in lines] == [True] * 4 + [False]
+        rows = json.loads(run(capsys, *argv, "--format", "json")[1])["rows"]
+        assert [r["bound"] for r in rows] == [res.bound()] * 4 + [None]
+        assert all(r["passed"] == (float(r["detail"]) <= r["bound"]) for r in rows[:4])
+
     @pytest.mark.parametrize("j", ["0", "1", "2", "12", "13", "40"])
     def test_same_check_names_at_every_integer_j(self, capsys, j):
         argv = ["susy-check", "--j", j, "--gamma", "0.7"]
@@ -525,12 +513,29 @@ class TestFlags:
         (["ground-state", "--j", "2", "--gamma", "0"], ["--threads", "1"]),
         (["spectrum", "--j", "2", "--gamma", "0"], ["--threads", "1"]),
         (["bench", "--j-list", "2", "--gamma", "0"], ["--threads", "1"]),
+        (["spectrum", "--j", "2", "--gamma", "0"], ["--emit-plot", "x.gp"]),
+        (["gap-scan", "--j-list", "2", "--gamma", "0"], ["--emit-plot", "x.gp"]),
     ])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    def test_readme_flag_table_matches_the_parser(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| subcommand | flags |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+            name, flags = line.strip("|").split("|")
+            documented = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+            if "γ grid" in flags:
+                documented |= {"--gamma", "--gamma-min", "--gamma-max", "--steps"}
+            table[name.strip().strip("`")] = documented
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert table == {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                         for name, p in subparsers.items()}
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--j", "2"], ["gap-scan", "--j-list", "5"], ["bench", "--j-list", "5"],
@@ -675,6 +680,7 @@ class TestFormats:
             lines = text.splitlines()
             assert [l.split() for l in lines[1:-1]] == [
                 ["PASS" if r["passed"] else "FAIL", r["check"], r["detail"]]
+                + ([] if r["bound"] is None else ["bound", cli.fmt(r["bound"])])
                 for r in payload["rows"]]
             assert lines[-1] == f"verdict: {payload['summary']['verdict']}"
             return

@@ -43,7 +43,6 @@ from lmgspec import (
     gap_sector_tridiag,
     spectral_gap,
     spectral_gap_cells,
-    spectral_gaps,
 )
 
 
@@ -452,51 +451,52 @@ class TestGapInverseIteration:
 
 
 class TestSpectralGaps:
-    """One batched kernel call per J; every result bit-identical to the
-    one-gamma spectral_gap call."""
+    """spectral_gap_cells on the cells of one J; every result bit-identical
+    to the one-gamma spectral_gap call."""
 
     GAMMAS = [0.0, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 30.0, -30.0, 300.0, -300.0]
 
     @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 20001])
     def test_bitwise_equal_to_spectral_gap(self, jj):
         jv = SpinJ(2 * jj)
-        many = spectral_gaps(jv, self.GAMMAS)
+        many = spectral_gap_cells([(jv, g) for g in self.GAMMAS])
         one = [spectral_gap(jv, g) for g in self.GAMMAS]
         assert many == one
         assert [r.gap.hex() for r in many] == [r.gap.hex() for r in one]
 
     def test_empty_gamma_list(self):
-        assert spectral_gaps(SpinJ(4), []) == []
+        assert spectral_gap_cells([]) == []
 
     def test_overflow_in_a_row_raises_the_per_cell_error(self):
         jv = SpinJ(10)
         with pytest.raises(OverflowRisk) as single:
             spectral_gap(jv, 400.0)
         with pytest.raises(OverflowRisk) as batch:
-            spectral_gaps(jv, [0.5, 400.0, 1.0])
+            spectral_gap_cells([(jv, 0.5), (jv, 400.0), (jv, 1.0)])
         assert str(batch.value) == str(single.value)
 
     def test_first_error_in_gamma_order(self):
         jv = SpinJ(10)
         with pytest.raises(NonFiniteInput):
-            spectral_gaps(jv, [0.5, math.nan, 400.0])
+            spectral_gap_cells([(jv, 0.5), (jv, math.nan), (jv, 400.0)])
         with pytest.raises(OverflowRisk):
-            spectral_gaps(jv, [0.5, 400.0, math.nan])
+            spectral_gap_cells([(jv, 0.5), (jv, 400.0), (jv, math.nan)])
         with pytest.raises(NotIntegerSpin):
-            spectral_gaps(SpinJ(3), [0.5, 1.0])
+            spectral_gap_cells([(SpinJ(3), 0.5), (SpinJ(3), 1.0)])
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 1)
         with pytest.raises(NotConverged, match="gamma=0.0"):
-            spectral_gaps(SpinJ(10), [0.0, 0.5])
+            spectral_gap_cells([(SpinJ(10), 0.0), (SpinJ(10), 0.5)])
+        jv = SpinJ(20)
         # At J = 20, gamma = 0 settles at step 2, 0.7 at step 15 and 0.5 at
         # step 16: after 13 steps the error names the first gamma not yet
         # settled.
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 13)
         with pytest.raises(NotConverged, match="gamma=0.5"):
-            spectral_gaps(SpinJ(20), [0.0, 0.5])
+            spectral_gap_cells([(jv, 0.0), (jv, 0.5)])
         with pytest.raises(NotConverged, match="gamma=0.7"):
-            spectral_gaps(SpinJ(20), [0.0, 0.7, 0.0, 0.5])
+            spectral_gap_cells([(jv, 0.0), (jv, 0.7), (jv, 0.0), (jv, 0.5)])
 
     def test_step_cap_names_the_first_unsettled_cell_in_grid_order(self, monkeypatch):
         # Steps to settle: 15 at (J, gamma) = (20, 0.7), 21 at (10, 0.5) and
@@ -521,7 +521,8 @@ class TestSpectralGaps:
             return _gap_inverse_iteration(cells)
 
         monkeypatch.setattr(eigensolve, "_gap_inverse_iteration", spy)
-        res = spectral_gaps(SpinJ(2 * 10**5), [0.0, 0.5, -1.0, 2.0])
+        jv = SpinJ(2 * 10**5)
+        res = spectral_gap_cells([(jv, 0.0), (jv, 0.5), (jv, -1.0), (jv, 2.0)])
         assert sizes == [1, 1, 1, 1]
         assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)
 
@@ -538,6 +539,16 @@ class TestGapGrid:
                                                for j, g in self.CELLS]
         assert spectral_gap_cells([]) == []
 
+    def test_interleaved_j_is_bitwise_equal_to_spectral_gap(self):
+        # One J in separate runs, and J = 1 rows amid the batch: the rows
+        # compact across non-adjacent groups, and the 1x1 blocks never solve.
+        cells = [(SpinJ(2 * jj), g) for jj, g in [
+            (5, 0.3), (10, 0.0), (5, 1e-3), (1, 0.7), (10, 2.0), (5, 0.3), (1000, 0.05),
+            (5, -1.0), (1, 0.0), (30, 0.2), (1000, 0.0)]]
+        assert len(list(_batches(cells))) == 1
+        assert [r.gap.hex() for r in spectral_gap_cells(cells)] == [
+            spectral_gap(j, g).gap.hex() for j, g in cells]
+
     def test_dpttrs_calls_and_elements(self, monkeypatch):
         # The grid is one batch of 59250 doubles.  Measured: 30 dpttrs
         # solves of 605900 elements in all; one batch per J, each running
@@ -553,7 +564,7 @@ class TestGapGrid:
     def test_peak_memory(self):
         # Measured: 2.50 MB for the grid; 2.23 MB for the J = 1000 row alone
         # (50 cells), as when each J was its own batch.
-        spectral_gaps(SpinJ(10), [0.5])  # scipy's first-call allocations
+        spectral_gap_cells([(SpinJ(10), 0.5)])  # scipy's first-call allocations
         tracemalloc.start()
         try:
             peaks = []
@@ -625,9 +636,10 @@ class TestGapBits:
 
     @pytest.mark.parametrize("jj", list(HEX))
     def test_pinned_hex(self, jj):
-        got = [r.gap.hex() for r in spectral_gaps(SpinJ(2 * jj), self.GAMMAS)]
+        jv = SpinJ(2 * jj)
+        got = [r.gap.hex() for r in spectral_gap_cells([(jv, g) for g in self.GAMMAS])]
         assert got == list(self.HEX[jj])
-        assert spectral_gap(SpinJ(2 * jj), self.GAMMAS[3]).gap.hex() == self.HEX[jj][3]
+        assert spectral_gap(jv, self.GAMMAS[3]).gap.hex() == self.HEX[jj][3]
 
     @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536, 2 * 10**5, 10**6])
     def test_factors_equal_the_one_row_build(self, jj):
