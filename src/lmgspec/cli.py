@@ -11,10 +11,12 @@ ends its table with the environment it measured in.  spectrum --model general re
 diagonalizes once per J and repeats the levels for every gamma.
 
 susy-check verifies the superalgebra on the supercharge's O(J) bands
-(susy.verify_superalgebra_bands), each residual printed beside its bound,
-and classifies the dense spectrum of H, so it stops at J = 2000.  The
-parser is built once per process; main dispatches to cmd_<command> by
-name at call time, so a replaced cmd_* function is the one that runs.
+(susy.verify_superalgebra_bands), each residual printed beside its bound
+(in JSON both numbers, where finite; detail holds the verdict on the
+classification row), and classifies the dense spectrum of H, so it stops
+at J = 2000.  The parser is built once per process; main dispatches to
+cmd_<command> by name at call time, so a replaced cmd_* function is the
+one that runs.
 
 Exit status: 0 = success, 1 = verification failure, 2 = usage/config error,
 an unwritable output path or a J too large to allocate.
@@ -242,7 +244,8 @@ def cmd_susy_check(args) -> int:
     if args.format == "json":
         emit(args, {"command": "susy-check", "j": str(jv), "gamma": g},
              ["check", "passed", "detail", "bound"],
-             [(n, bool(ok), fmt(d), b) for n, ok, d, b in checks],
+             [(n, bool(ok), d if isinstance(d, float) and math.isfinite(d) else fmt(d), b)
+              for n, ok, d, b in checks],
              {"verdict": report.verdict, "all_passed": all_pass})
     else:
         lines = [f"susy-check J={jv} gamma={fmt(g)}"]

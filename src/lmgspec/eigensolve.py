@@ -6,13 +6,18 @@
   keeps high relative accuracy (Demmel & Kahan 1990): |gap(J, 0) - 1|
   measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
   The iteration starts from the Holstein-Primakoff one-quasiparticle state,
-  which at gamma = 0 is the gap vector itself.
+  which at gamma = 0 is the gap vector itself.  At gamma != 0 that state
+  falls like e^(-2|gamma| k) from the m = -J edge, and the solve reads only
+  the leading _gap_window(J, gamma) columns of the block, about
+  40/|gamma| rounded up to a power of two: O(1/|gamma|) time and memory,
+  not O(J), with every gap bit-identical to the full-length solve.
   A list of (J, gamma) cells, such as a gap-scan's whole grid, runs as
-  batches of at most 2^16 doubles per row array (or one cell): the factors
-  of each J's cells are built together, one array operation for all of
-  them, and all rows of a batch form one block-diagonal matrix, so each
-  step is one LAPACK dpttrs solve for the batch.  A row leaves the batch
-  once it settles.
+  batches of at most 2^16 doubles per row array, counting each row's
+  window (or one cell): the factors of each run of cells with one J and
+  window are built together, one array operation for all of them, and all
+  rows of a batch form one block-diagonal matrix, so each step is one
+  LAPACK dpttrs solve for the batch.  A row leaves the batch once it
+  settles.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
@@ -84,12 +89,46 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
 _LDL_CHUNK = 1 << 16
 
 
+def _gap_window(j: SpinJ, gamma: float) -> int:
+    """The number K of leading columns of the J x J gap-sector block that
+    the gap solve of cell (j, gamma) reads: J at gamma = 0, else the
+    smallest power of two >= 2 K0, with
+        K0 = ceil((ln(1/eps) + ln(e J) / 4) / (2 |gamma|)),
+    or J where that power of two exceeds J/2.
+
+    The start vector falls off from the m = -J edge as x_k <= (e k)^(1/4)
+    e^(-2|gamma| k), since the ladder ratios v_(2k+2)/v_(2k+1) multiply to
+    at most (e k)^(1/4); so x is below eps from column K0 on.  The gap
+    moves by less than rounding: by Cauchy interlacing lambda_0(A) <=
+    lambda_0(A_K) for the leading K x K block A_K, and for the exact gap
+    vector v, lambda_0(A_K) - lambda_0(A) <= o_K v_K v_(K+1) /
+    ||v_(1:K)||^2, o_K the block's K-th off-diagonal entry: second order in
+    a tail that the factor 2 puts near eps^2 of the peak.  Measured, every
+    gap and step count equals the full-length solve's on 3652 cells up to
+    J = 10^7; with K0 columns instead of 2 K0, 2 of 49 gaps moved.  The
+    power of two gives nearby gammas of one J the same window, so that they
+    form one block of their batch.  The comparison with J runs in floats
+    before any ceil, so a subnormal gamma gives J.
+    """
+    n = j.two_j // 2
+    if not gamma:
+        return n
+    k0 = (math.log(1.0 / _EPS) + 0.25 * math.log(math.e * n)) / (2.0 * abs(gamma))
+    if 4.0 * k0 > n:  # 2 K0 > J/2; k0 is inf at a subnormal gamma
+        return n
+    window = 1 << (2 * math.ceil(k0) - 1).bit_length()
+    return n if 2 * window > n else window
+
+
 def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
                      x: np.ndarray) -> None:
-    """Write into the (nb, J) arrays d, l and x: row r of d and l the LDL^T
-    factors of the gap-sector block X^T X at -|gammas[r]|, similarity-signed
-    so that every d_k > 0 and every l_k < 0, and l[r, J-1] = 0; row r of x
-    the start vector of that row's inverse iteration.
+    """Write into the (nb, K) arrays d, l and x, K <= J: row r of d and l
+    the LDL^T factors of the leading K x K block A_K of the gap-sector block
+    X^T X at -|gammas[r]|, similarity-signed so that every d_k > 0 and every
+    l_k < 0, and l[r, K-1] = 0; row r of x the start vector of that row's
+    inverse iteration, in its first K entries.  The build runs from column
+    0 down, so these are, bit for bit, the leading K columns of the
+    full-length build (K = J), whose l_(K-1) couples A_K to the rest.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -135,7 +174,7 @@ def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
     """
     from scipy.linalg.lapack import dtbtrs
 
-    n, nb = j.two_j // 2, len(gammas)
+    nb, n = d.shape
     up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
     down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
     width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
@@ -225,10 +264,11 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _batches(cells: list):
     """The (J, gamma) cells in grid order, cut into the batches of
     _gap_inverse_iteration: each row array holds at most _LDL_CHUNK
-    doubles, or one row, so from J = 2^16 up a batch is one cell."""
+    doubles, counting each row's _gap_window, or one row, so a cell whose
+    window is 2^16 or more runs alone."""
     batch, size = [], 0
     for cell in cells:
-        n = cell[0].two_j // 2
+        n = _gap_window(*cell)
         if batch and size + n > _LDL_CHUNK:
             yield batch
             batch, size = [], 0
@@ -277,17 +317,17 @@ def _compact(bufs: tuple, groups: list, keep: np.ndarray) -> list:
 def _gap_inverse_iteration(cells: list) -> np.ndarray:
     """Spectral gaps of one batch of (J, gamma) cells, integer J >= 1, by
     inverse iteration on the LDL^T factors of _gap_ldl_factors, from its
-    start vectors x.
+    start vectors x, each row on the leading _gap_window(J, gamma) columns.
 
-    The factors are the rows of flat buffers d and l, the cells of one J a
-    (rows, J) block, with l = 0 at the end of each row, so the
-    block-diagonal matrix decouples and each step is one LAPACK dpttrs solve
-    y = A^-1 x for all rows; the solve rounds each block exactly as it
-    would alone.  Each block's inverse is entrywise positive and x > 0, so y
-    stays positive and every sum in the solve and in the dot products
-    (_row_dots, over each J's block) adds positive terms.  Per row, the
-    Rayleigh quotient rho = x.y / y.y of y is an upper bound on the
-    smallest eigenvalue that never rises in exact arithmetic; the row
+    The factors are the rows of flat buffers d and l, each run of cells with
+    one J and one window K a (rows, K) block, with l = 0 at the end of each
+    row, so the block-diagonal matrix decouples and each step is one LAPACK
+    dpttrs solve y = A^-1 x for all rows; the solve rounds each block
+    exactly as it would alone.  Each block's inverse is entrywise positive
+    and x > 0, so y stays positive and every sum in the solve and in the
+    dot products (_row_dots, over each block) adds positive terms.  Per
+    row, the Rayleigh quotient rho = x.y / y.y of y is an upper bound on
+    the smallest eigenvalue that never rises in exact arithmetic; the row
     settles at the first step where rho falls by at most 2 eps relative,
     and its gap is the smaller of that step's rho and the one before.  A
     settled row leaves the batch: the rows after it move forward in the
@@ -307,8 +347,8 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
     from scipy.linalg.lapack import dpttrs
 
     groups, r, p = [], 0, 0
-    for jv, run in itertools.groupby(cells, key=lambda cell: cell[0]):
-        m, n = len(list(run)), jv.two_j // 2
+    for (_, n), run in itertools.groupby(cells, key=lambda cell: (cell[0], _gap_window(*cell))):
+        m = len(list(run))
         groups.append((r, m, n, p))
         r, p = r + m, p + m * n
     d, l, x = (np.empty(p) for _ in range(3))
@@ -465,9 +505,10 @@ def spectral_gap_cells(cells) -> list:
     GapResult, bit-identical to the one-cell calls.
 
     The cells run in grid order in batches of _gap_inverse_iteration, each
-    holding at most 2^16 doubles per row array, or one cell: from J = 2^16
-    up a cell runs alone, with the memory of one spectral_gap call.  Every
-    cell is checked, in order, before any is solved.
+    holding at most 2^16 doubles per row array, each row counted at its
+    _gap_window, or one cell: a gamma = 0 cell from J = 2^16 up runs alone,
+    with the memory of one spectral_gap call.  Every cell is checked, in
+    order, before any is solved.
     """
     cells = list(cells)
     bounds = [_gap_bound(j, g) for j, g in cells]
@@ -483,12 +524,14 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     method="tridiag" (spectral_gap_cells with one cell): the smallest eigenvalue
     of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
     block, by inverse iteration on its relatively accurate LDL^T factors
-    (_gap_inverse_iteration), one dpttrs solve per step and O(J) memory,
-    from the Holstein-Primakoff one-quasiparticle state: 2-6 steps at
-    J >= 10^5 for gamma = 0 and |gamma| >= 0.5, up to 16 at small
-    |gamma|.  |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 8.9e-14 at
-    J = 1e6 and 5.6e-12 at J = 1e7.  method="dense" diagonalizes the
-    block densely (J <= 200 only).
+    (_gap_inverse_iteration), one dpttrs solve per step, from the
+    Holstein-Primakoff one-quasiparticle state: 2-6 steps at J >= 10^5 for
+    gamma = 0 and |gamma| >= 0.5, up to 16 at small |gamma|.  Time and
+    memory are O(J) at gamma = 0 and O(min(J, 1/|gamma|)) otherwise, since
+    the solve reads only the block's leading _gap_window columns.
+    |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and
+    5.6e-12 at J = 1e7.  method="dense" diagonalizes the block densely
+    (J <= 200 only).
     The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
     Raises OverflowRisk where the bound, the squared chain or the gap is not
     finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).

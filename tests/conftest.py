@@ -13,7 +13,7 @@ polynomials, and h_minus_elements, reversed_conjugate,
 symmetrize_tridiag and diagonal_lower_bound, the similarity argument for
 the gap bound cosh(2*gamma), build or act on lmgspec's GeneralTridiag, and
 ldl_factors_one_row repeats the gap kernel's factor arithmetic one gamma
-at a time.
+at a time, and invit_one_row its inverse iteration on one row of factors.
 """
 
 import math
@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpttrs, dtbtrs
 
 from lmgspec import (
     CharPoly,
@@ -227,6 +227,25 @@ def invit_start_one_row(j: SpinJ, gamma: float) -> np.ndarray:
     e = supercharge_chain(j, abs(gamma))
     x = np.cumprod(np.concatenate([[1.0], e[2::2] / e[1::2][:-1]]))
     return np.maximum(x, np.finfo(float).eps)
+
+
+def invit_one_row(d: np.ndarray, l: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The settled iterate, of unit norm, of inverse iteration on one row of
+    LDL^T factors (d, l) from the start x, with the gap kernel's stopping
+    rule: the first step at which the Rayleigh quotient x.y / y.y falls by
+    at most 2 eps relative.  d is first scaled by the power of two that
+    puts its smallest entry in [1/2, 1), as in the kernel, so y.y stays in
+    float64 range."""
+    d = np.ldexp(d, -np.frexp(d.min())[1])
+    x = x / math.sqrt(x @ x)
+    rho = math.inf
+    for _ in range(100):
+        y = dpttrs(d, l[:-1], x)[0]
+        rho_old, rho = rho, (x @ y) / (y @ y)
+        x = y / math.sqrt(y @ y)
+        if rho_old - rho <= 2.0 * np.finfo(float).eps * rho:
+            return x
+    raise AssertionError("inverse iteration did not settle in 100 steps")
 
 
 

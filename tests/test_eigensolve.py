@@ -1,5 +1,6 @@
 """Gap solvers, dense oracle, characteristic polynomials, gap machinery."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import (
     diagonal_lower_bound,
     gap_closed_form_j2,
     h_minus_elements,
+    invit_one_row,
     invit_start_one_row,
     ldl_factors_one_row,
     sign_canonical,
@@ -22,7 +24,7 @@ from conftest import (
     symmetrize_tridiag,
 )
 from lmgspec import eigensolve
-from lmgspec.eigensolve import _batches, _gap_inverse_iteration, _gap_ldl_factors
+from lmgspec.eigensolve import _batches, _gap_inverse_iteration, _gap_ldl_factors, _gap_window
 from lmgspec import (
     CharPoly,
     DimensionMismatch,
@@ -43,12 +45,14 @@ from lmgspec import (
     gap_sector_tridiag,
     spectral_gap,
     spectral_gap_cells,
+    supercharge_chain,
 )
 
 
-def ldl_factors(jv, gammas):
-    """_gap_ldl_factors into fresh (len(gammas), J) arrays d, l and x."""
-    d, l, x = np.empty((3, len(gammas), jv.two_j // 2))
+def ldl_factors(jv, gammas, n=None):
+    """_gap_ldl_factors into fresh (len(gammas), n) arrays d, l and x, the
+    leading n columns (default: all J)."""
+    d, l, x = np.empty((3, len(gammas), n or jv.two_j // 2))
     _gap_ldl_factors(jv, gammas, d, l, x)
     return d, l, x
 
@@ -509,11 +513,20 @@ class TestSpectralGaps:
             spectral_gap_cells(cells[::-1])
 
     def test_large_j_batch_holds_one_cell(self, monkeypatch):
-        # At J = 1e5 a row of the stacked arrays exceeds _LDL_CHUNK doubles,
-        # so each batch is one cell and the memory that of one solve; at
-        # J = 1000, 65 rows fill a batch.
+        # Two rules.  A batch's rows hold at most _LDL_CHUNK doubles in all,
+        # each row counted at its _gap_window, unless the batch is one cell;
+        # so a gamma = 0 cell, whose window is J, runs alone from J = 2^16
+        # up, with the memory of one solve.  At J = 1000, 65 rows fill a
+        # batch.
         assert [len(b) for b in _batches([(SpinJ(2000), 0.0)] * 66)] == [65, 1]
         assert [len(b) for b in _batches([(SpinJ(2 * 10**5), 0.0), (SpinJ(10), 0.0)])] == [1, 1]
+        assert [len(b) for b in _batches([(SpinJ(2 * 2**16), 0.0)] * 2)] == [1, 1]
+        cells = [(SpinJ(2 * jj), g) for jj in (1000, 2 * 10**5, 10**7)
+                 for g in np.linspace(-3.0, 3.0, 61).tolist() + [1e-3, 0.02]]
+        batches = list(_batches(cells))
+        assert [c for b in batches for c in b] == cells
+        for batch in batches:
+            assert len(batch) == 1 or sum(_gap_window(*c) for c in batch) <= eigensolve._LDL_CHUNK
         sizes = []
 
         def spy(cells):
@@ -523,7 +536,7 @@ class TestSpectralGaps:
         monkeypatch.setattr(eigensolve, "_gap_inverse_iteration", spy)
         jv = SpinJ(2 * 10**5)
         res = spectral_gap_cells([(jv, 0.0), (jv, 0.5), (jv, -1.0), (jv, 2.0)])
-        assert sizes == [1, 1, 1, 1]
+        assert sizes == [1, 3]
         assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)
 
 
@@ -577,6 +590,117 @@ class TestGapGrid:
         finally:
             tracemalloc.stop()
         assert peaks[0] <= max(peaks[1:]) + 8 * eigensolve._LDL_CHUNK
+
+
+# The gamma != 0 cells of the gap_large benchmark rounds at seeds 1-3, all
+# at J = 10^6.
+GAP_LARGE_GAMMAS = [-0.7015463661686019, -1.771150605405849, 1.645661928464921,
+                    0.8826035386091325, -1.934051407833874, -1.921741230589024,
+                    0.584827051590213, 0.6273079927383824, -0.856946940637837,
+                    -1.3163438379439278, 1.0549327498221188, 1.4058800578942918]
+
+
+def window_cells(jj):
+    """Cells at J |gamma| in {5, ..., 2000}, both signs, |gamma| <= 3, or
+    with jj = "gap_large" the cells of GAP_LARGE_GAMMAS."""
+    if jj == "gap_large":
+        return [(SpinJ(2 * 10**6), g) for g in GAP_LARGE_GAMMAS]
+    return [(SpinJ(2 * jj), s * jg / jj) for jg in (5, 10, 20, 40, 80, 160, 500, 2000)
+            for s in (1, -1) if jg / jj <= 3.0]
+
+
+class TestGapWindow:
+    """A gamma != 0 solve reads only the leading _gap_window columns of the
+    gap block.  The full-length solve, window = J, gives the same bits in
+    the same number of steps."""
+
+    @staticmethod
+    def solve(monkeypatch, cells):
+        """(gap hex, dpttrs solves) of each cell, each solved alone."""
+        calls = []
+        inner = scipy.linalg.lapack.dpttrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
+        out = []
+        for cell in cells:
+            calls.clear()
+            out.append((spectral_gap_cells([cell])[0].gap.hex(), len(calls)))
+        return out
+
+    @pytest.mark.parametrize("jj", [200, 10**3, 10**4, 10**5, 10**6, "gap_large"])
+    def test_windowed_solve_equals_the_full_solve(self, monkeypatch, jj):
+        cells = window_cells(jj)
+        assert any(_gap_window(j, g) < j.two_j // 2 for j, g in cells)
+        windowed = self.solve(monkeypatch, cells)
+        monkeypatch.setattr(eigensolve, "_gap_window", lambda j, g: j.two_j // 2)
+        assert self.solve(monkeypatch, cells) == windowed
+
+    @pytest.mark.parametrize("jj", [200, 10**3, 10**4, 10**5, 10**6, "gap_large"])
+    def test_settled_vector_vanishes_at_the_window_end(self, jj):
+        # Measured on the J |gamma| cells: 4e-43 to 2e-29 of the largest
+        # entry.  The gap_large cells settle in 2-5 steps, too few to wash
+        # out the eps floor of the start vector's tail: 2e-27 to 6e-20 (at 2
+        # steps).  Either is second order in the gap, (6e-20)^2 ~ 4e-39.
+        limit = 1e-18 if jj == "gap_large" else 1e-20
+        cells = [(j, g) for j, g in window_cells(jj) if _gap_window(j, g) < j.two_j // 2]
+        assert cells
+        for j, g in cells:
+            d, l, x = (a[0] for a in ldl_factors(j, [g], _gap_window(j, g)))
+            v = invit_one_row(d, l, x)
+            assert abs(v[-1]) <= limit * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("jj", [2, 1000, 10**6])
+    def test_start_vector_bound(self, jj):
+        # x_k <= (e k)^(1/4) e^(-2|gamma| k) for the unfloored start vector,
+        # the bound _gap_window's K0 rests on; compared in logs, where x is
+        # a normal number.
+        jv = SpinJ(2 * jj)
+        k = np.arange(1, min(jj, 4096))
+        for g in (0.01, 0.5, -2.0):
+            e = supercharge_chain(jv, abs(g))
+            x = np.cumprod(e[2::2] / e[1::2][:-1])[:k.size]
+            normal = x >= np.finfo(float).tiny
+            assert normal[:30].all()
+            bound = 0.25 * np.log(math.e * k) - 2 * abs(g) * k
+            assert np.all(np.log(x[normal]) <= bound[normal] + 1e-12 * np.abs(bound[normal]))
+
+    def test_window_values(self):
+        eps = np.finfo(float).eps
+        for jj in (1, 2, 5, 200, 1000, 10**6, 10**9):
+            jv = SpinJ(2 * jj)
+            assert _gap_window(jv, 0.0) == jj
+            for g in (1e-8, 0.01, 0.5, -0.5, 2.0, 30.0, -300.0):
+                n = _gap_window(jv, g)
+                k0 = math.ceil((math.log(1 / eps) + math.log(math.e * jj) / 4) / (2 * abs(g)))
+                power = 1 << (2 * k0 - 1).bit_length()  # the smallest >= 2 K0
+                assert power // 2 < 2 * k0 <= power
+                assert n == (power if 2 * power <= jj else jj)
+        assert [_gap_window(SpinJ(2 * 10**6), g) for g in (0.5, -1.0, 2.0, 1e-3, 1e-5)] == [
+            128, 64, 32, 65536, 10**6]
+
+    @pytest.mark.parametrize("g", [5e-324, 1e-300, -1e-300])
+    def test_tiny_gamma_keeps_every_column(self, g):
+        for jj in (1, 2, 1000, 10**9):
+            assert _gap_window(SpinJ(2 * jj), g) == jj
+
+    # c(|gamma|) = J (asymptote - gap), measured at J = 10^4 and 10^5, where
+    # it dwarfs the rounding: 0.3192/0.3191, 0.1034/0.1034, 0.01374/0.01369.
+    HP_REMAINDER = {0.5: 0.3192, 1.0: 0.1034, 2.0: 0.01374}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("g", list(HP_REMAINDER))
+    @pytest.mark.parametrize("jj", [10**6, 10**7, 10**9])
+    def test_large_j_reference(self, jj, g, sign):
+        """gap = J sinh 2|g| - e^(-2|g|)/2 - c(|g|)/J + O(1/J^2), the
+        Holstein-Primakoff asymptote of TestGapInverseIteration.
+        test_large_j_asymptote.  The tolerance is 1.5 c/J, the measured c
+        with a 50% margin, plus 8 ulps of the gap for the rounding of the
+        asymptote and of the solve; the rounding measured at most 15 ulps
+        at J = 10^7 (where c/J is 14 of them) and 3 at J = 10^9."""
+        res = spectral_gap(SpinJ(2 * jj), sign * g)
+        asymptote = jj * math.sinh(2 * g) - 0.5 * math.exp(-2 * g)
+        tol = 1.5 * self.HP_REMAINDER[g] / jj + 8 * math.ulp(res.gap)
+        assert abs(res.gap - asymptote) <= tol and res.satisfied
 
 
 class TestGapBits:
@@ -645,13 +769,18 @@ class TestGapBits:
     def test_factors_equal_the_one_row_build(self, jj):
         # Past J = 2^16 a row is built in column chunks, whose carries must
         # round as one unchunked solve does.
+        # A row built on its _gap_window holds the leading columns of the
+        # full-length build, with l = 0 in its last column.
         jv = SpinJ(2 * jj)
         for batch in _batches([(jv, g) for g in self.GAMMAS]):
-            d, l, x = ldl_factors(jv, [g for _, g in batch])
-            for r, (_, g) in enumerate(batch):
-                d1, l1 = ldl_factors_one_row(jv, g)
-                assert np.array_equal(d[r], d1) and np.array_equal(l[r], l1)
-                assert np.array_equal(x[r], invit_start_one_row(jv, g))
+            for n, run in itertools.groupby(batch, key=lambda cell: _gap_window(*cell)):
+                gammas = [g for _, g in run]
+                d, l, x = ldl_factors(jv, gammas, n)
+                for r, g in enumerate(gammas):
+                    d1, l1 = ldl_factors_one_row(jv, g)
+                    assert np.array_equal(d[r], d1[:n]) and l[r, -1] == 0.0
+                    assert np.array_equal(l[r, :-1], l1[:n - 1])
+                    assert np.array_equal(x[r], invit_start_one_row(jv, g)[:n])
 
     def test_factors_do_not_depend_on_the_chunk_width(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_LDL_CHUNK", 1 << 12)
