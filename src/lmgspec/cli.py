@@ -284,33 +284,37 @@ BENCH_HEADER = ["j", "gamma", "gap", "bound", "satisfied", "seconds", "mem_bytes
 
 def cmd_bench(args) -> int:
     """Per cell: the solve's wall time and its tracemalloc peak in bytes,
-    above what was already traced when the solve began.  tracemalloc runs
-    once for the whole grid, unless the caller already traces.  Every cell
-    is checked, in grid order, before scipy is imported and the first
-    solve runs."""
+    above what was already traced when the solve began.  Each cell runs
+    twice, so that tracing does not slow the timed solve: a traced pass
+    over the grid gives mem_bytes, then an untraced pass gives seconds and
+    the reported gap.  tracemalloc runs once, for the traced pass, unless
+    the caller already traces.  Every cell is checked, in grid order,
+    before scipy is imported and the first solve runs."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
-    for jv in j_values:
-        for g in gammas:
-            _gap_bound(jv, g)
+    cells = [(jv, g) for jv in j_values for g in gammas]
+    for jv, g in cells:
+        _gap_bound(jv, g)
     import scipy.linalg.lapack  # the gap kernel's import, outside the first cell's timing
-    rows = []
+    mems = []
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
-        for jv in j_values:
-            for g in gammas:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                start = time.perf_counter()
-                res = spectral_gap(jv, g, method="tridiag")
-                elapsed = time.perf_counter() - start
-                mem = tracemalloc.get_traced_memory()[1] - base
-                rows.append((str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem))
+        for jv, g in cells:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_gap(jv, g, method="tridiag")
+            mems.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         if not tracing:
             tracemalloc.stop()
+    rows = []
+    for (jv, g), mem in zip(cells, mems):
+        start = time.perf_counter()
+        res = spectral_gap(jv, g, method="tridiag")
+        elapsed = time.perf_counter() - start
+        rows.append((str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem))
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}
     env = bench_env()
     emit(args, config, BENCH_HEADER, rows, {"n_rows": len(rows)},

@@ -87,6 +87,7 @@ def eig_symtridiag(t: SymTridiag) -> np.ndarray:
 
 
 _LDL_CHUNK = 1 << 16
+_ROW_CHUNK = 1 << 14
 
 
 def _gap_window(j: SpinJ, gamma: float) -> int:
@@ -154,61 +155,59 @@ def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
     the solves, which they slow several-fold.
 
     All rows are built at once.  The chain at -|gamma| is the gamma-free
-    chain v (spin.ladder) times e^|gamma| on a and e^-|gamma|
-    on b, so v is built once per chunk and each array operation covers
-    every row.  The recurrence for u is one unit lower bidiagonal solve
-    (LAPACK dtbtrs) over the stacked rows, with coupling 0 at each row
-    start, so it rounds each row as it would alone.  One row goes in column
-    chunks of _LDL_CHUNK that carry u_(k-1) and x_k across chunk
+    chain v (spin.ladder) times e^|gamma| on a and e^-|gamma| on b, so v is
+    built once per chunk, into two reused buffers at even and odd i, and
+    each array operation covers every row.  The recurrence for u is one unit
+    lower bidiagonal solve (LAPACK dtbtrs) over the stacked rows, with
+    coupling 0 at each row start, so it rounds each row as it would alone.
+    One row goes in column chunks of _ROW_CHUNK = 2^14, whose working arrays
+    stay in a 2 MB L2 cache (at J = 10^7, 2^13 and 2^15 measured alike, 2^12
+    and 2^16 8-20% slower), carrying u_(k-1) and x_k across chunk
     boundaries, so that x is one running product, as an unchunked cumprod
     rounds it.  Each chunk after the first starts its solve one column
     early, at the carried u_(s-1), so that dtbtrs rounds u_s as well:
     OpenBLAS rounds c + c u unlike numpy, and a carry added in numpy would
-    make the factors depend on _LDL_CHUNK.  Several rows are one chunk, at
-    most _LDL_CHUNK wide in all, since their batch is (_batches).  a and b
-    are recomputed from v where they are needed rather than stored: apart
-    from d, l and x, the only buffer the size of the rows is the dtbtrs
-    band, whose row 0, the unit diagonal that dtbtrs does not read, holds
-    a_(k+1) for l.  So the build holds at most _LDL_CHUNK doubles more than
-    the iteration that follows.
+    make the factors depend on _ROW_CHUNK.  Several rows are one chunk, at
+    most _LDL_CHUNK = 2^16 doubles in all, since their batch is (_batches).
+
+    Each chunk forms a, in x's place until the start vector takes it, and
+    -b, in l's place, once; -b because (-b) a / d rounds as -(b a / d), so
+    l needs no negation.  Besides dtbtrs, the ladder and the cumprod, that
+    leaves 16 elementwise passes, and each element is rounded by the same
+    operations in the same order as in the formulas above.  Apart from d, l
+    and x, the buffers the size of a chunk are the dtbtrs band, two doubles
+    per element, and one scratch array for 1 + u_(k-1), b^2 and the
+    ratios' denominators: at most 3 x 2^16 doubles, against the one array
+    y that the iteration adds.
     """
     from scipy.linalg.lapack import dtbtrs
 
     nb, n = d.shape
     up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
     down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
-    width = min(n, _LDL_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
+    width = min(n, _ROW_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
     band = np.empty((2, nb * width + 1), order="F")
+    va, vb, tmp = np.empty(width + 1), np.empty(width), np.empty((nb, width))
+    minus_down = -down
     u_prev = np.zeros(nb)
     x_next = np.ones(nb)
     for s in range(0, n, width):
         t = min(n, s + width)
         size = t - s
-        v = ladder(j, 2 * s, min(2 * t + 1, 2 * n))
-        # a_s .. a_t (a_t only if t < n) and b_s .. b_(t-1) at gamma = 0,
-        # copied once to contiguous arrays since each is read several times
-        va, vb = v[0::2].copy(), v[1::2].copy()
-        dk, lk = d[:, s:t], l[:, s:t]
+        # l_s .. l_(s+k-1) and x_(s+1) .. x_(s+k) need v_(2s+2) .. v_(2s+2k);
+        # x_(s+k) is the next chunk's x_t when t < n
+        k = min(size, n - 1 - s)
+        ea = ladder(j, 2 * s, 2 * (s + k) + 1, 2, out=va[:k + 1])  # v_2s .. v_(2s+2k)
+        eb = ladder(j, 2 * s + 1, 2 * t, 2, out=vb[:size])         # v_(2s+1) .. v_(2t-1)
+        dk, lk, q = d[:, s:t], l[:, s:t], tmp[:, :size]
+        a = x[:, s:s + k + 1]  # a_s .. a_(s+k), until the start vector takes their place
+        np.multiply(ea, up, out=a)
+        np.multiply(eb, minus_down, out=lk)  # -b_s .. -b_(t-1)
+        np.divide(lk, a[:, :size], out=dk)
+        np.square(dk, out=dk)          # c_k
         w = d[:, max(s - 1, 0):t]  # the columns the dtbtrs solve runs over
         ab = band[:, :w.size]
-        a_next, sub = band[0, :nb * size].reshape(nb, size), ab[1].reshape(w.shape)
-        # x_(s+1) .. x_(s+k) and l_s .. l_(s+k-1) need v_(2s+2) .. v_(2s+2k);
-        # x_(s+k) is the next chunk's x_t when t < n
-        k = va.size - 1
-        ratio = x[:, s + 1:s + 1 + k]  # x_(k+1) / x_k until the cumprod
-        np.multiply(va[1:], down, out=ratio)    # e_(2k+2) at +|gamma|
-        np.multiply(vb[:k], up, out=lk[:, :k])  # e_(2k+1) at +|gamma|
-        ratio /= lk[:, :k]
-        xk = x[:, s:t]
-        xk[:, 0] = x_next
-        np.cumprod(xk, axis=1, out=xk)
-        if t < n:
-            x_next = xk[:, -1] * x[:, t]
-        np.maximum(xk, _EPS, out=xk)
-        np.multiply(vb, down, out=lk)
-        np.multiply(va[:size], up, out=dk)
-        np.divide(lk, dk, out=dk)      # b_k / a_k
-        np.square(dk, out=dk)          # c_k
+        sub = ab[1].reshape(w.shape)
         np.negative(w[:, 1:], out=sub[:, :-1])
         sub[:, -1] = 0.0               # rows do not couple
         if s:  # one row: the solve starts at u_(s-1), in d_(s-1)'s place
@@ -216,26 +215,31 @@ def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
         dtbtrs(ab, w.reshape(-1), uplo="L", diag="U", overwrite_b=1)
         if s:
             w[0, 0] = d_last
-        lk[:, 0] = u_prev
-        lk[:, 1:] = dk[:, :-1]
-        lk += 1.0                      # 1 + u_(k-1)
+        np.add(u_prev[:, None], 1.0, out=q[:, :1])
+        np.add(dk[:, :-1], 1.0, out=q[:, 1:])  # 1 + u_(k-1)
         u_prev = dk[:, -1].copy()
-        np.multiply(va[:size], up, out=dk)
-        np.square(dk, out=dk)
-        dk /= lk
-        np.multiply(vb, down, out=lk)
-        np.square(lk, out=lk)
-        dk += lk
-        np.multiply(va[1:], up, out=a_next[:, :k])
-        np.multiply(vb[:k], down, out=lk[:, :k])
-        lk[:, :k] *= a_next[:, :k]
+        np.square(a[:, :size], out=dk)
+        dk /= q
+        np.square(lk, out=q)
+        dk += q
+        lk[:, :k] *= a[:, 1:]
         lk[:, :k] /= dk[:, :k]
-        np.negative(lk[:, :k], out=lk[:, :k])
+        ratio = x[:, s + 1:s + 1 + k]  # x_(k+1) / x_k until the cumprod
+        np.multiply(ea[1:], down, out=ratio)       # e_(2k+2) at +|gamma|
+        np.multiply(eb[:k], up, out=q[:, :k])      # e_(2k+1) at +|gamma|
+        ratio /= q[:, :k]
+        xk = x[:, s:t]
+        xk[:, 0] = x_next
+        np.cumprod(xk, axis=1, out=xk)
+        if t < n:
+            x_next = xk[:, -1] * x[:, t]
+        np.maximum(xk, _EPS, out=xk)
     l[:, -1] = 0.0
 
 
 _INVIT_MAX_STEPS = 100
 _DOT_CHUNK = 8192
+_SETTLE_LENGTH = 1 << 19
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,6 +263,16 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if full < n:
         parts = np.column_stack([parts, np.vecdot(x[:, full:], y[:, full:])])
     return np.add.reduce(parts, axis=1)
+
+
+def _settle_tol(x: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """The settle tolerance tau of each row of the (nb, n) start vectors
+    x, xx = _row_dots(x, x): 2 eps max(1, L / 2^19), with L = (sum x)^2 /
+    x.x the row's participation ratio, its effective length.  L <= n, so
+    rows of at most 2^19 columns get exactly 2 eps and L is not computed."""
+    if x.shape[1] <= _SETTLE_LENGTH:
+        return np.full(x.shape[0], 2.0 * _EPS)
+    return 2.0 * _EPS * np.maximum(1.0, np.sum(x, axis=1) ** 2 / xx / _SETTLE_LENGTH)
 
 
 def _batches(cells: list):
@@ -328,21 +342,31 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
     dot products (_row_dots, over each block) adds positive terms.  Per
     row, the Rayleigh quotient rho = x.y / y.y of y is an upper bound on
     the smallest eigenvalue that never rises in exact arithmetic; the row
-    settles at the first step where rho falls by at most 2 eps relative,
-    and its gap is the smaller of that step's rho and the one before.  A
-    settled row leaves the batch: the rows after it move forward in the
-    same buffers (_compact), so each step solves only unsettled rows.  Each
-    row of d is first scaled by an exact power of two so that its smallest
-    entry, an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y
-    then stays in float64 range.  A 1x1 block is its own eigenvalue and
-    never enters a solve, whose Rayleigh quotient would round it.  From the
+    settles at the first step where rho falls by at most tau rho, and its
+    gap is the smaller of that step's rho and the one before.  The
+    quotient's rounding grows with the number of entries that carry its
+    sums: from the exact gap vector at J = 10^7, gamma = 0 it falls by 26
+    eps relative and then rises by 5, and a settled row at J = 5 10^6,
+    gamma = 1e-6 moves by up to 640 eps between steps.  So tau =
+    _settle_tol(x) = 2 eps max(1, L / 2^19) grows with the start vector's
+    participation ratio L = (sum x)^2 / x.x, about J at gamma = 0 and
+    O(1/|gamma|) otherwise: a property of the cell, the same to rounding
+    whichever window the solve reads, since x is below eps beyond it.
+    Every row of at most 2^19 columns keeps exactly 2 eps.  A settled row
+    leaves the batch: the rows after it move forward in the same buffers
+    (_compact), so each step solves only unsettled rows.  Each row of d is
+    first scaled by an exact power of two so that its smallest entry, an
+    upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y then
+    stays in float64 range.  A 1x1 block is its own eigenvalue and never
+    enters a solve, whose Rayleigh quotient would round it.  From the
     one-quasiparticle start a row takes 2-5 steps at J = 10^6 and
     |gamma| >= 0.2, where lambda_1/lambda_0 is about 2, and 2 at gamma = 0,
-    where the start is the gap vector (3 at J = 10^7, where the quotient
-    moves by 6e-15 relative between steps 1 and 2).  At 1e-8 <= |gamma| <=
-    0.1 the start is further from the gap vector and a row takes 7-16 steps
-    at J = 10^6.  Raises NotConverged, naming the first
-    unsettled cell in grid order, after _INVIT_MAX_STEPS steps.
+    where the start is the gap vector, also at J = 10^7, where tau is 37
+    eps (2 eps took a third step there).  At 1e-8 <= |gamma| <= 0.1 the
+    start is further from the gap vector and a row takes 7-16 steps at
+    J = 10^6, 27 at J = 2 10^6 and gamma = 1e-6.  Raises NotConverged,
+    naming the first unsettled cell in grid order, after _INVIT_MAX_STEPS
+    steps.
     """
     from scipy.linalg.lapack import dpttrs
 
@@ -365,10 +389,13 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
         groups, cell = _compact((d, l, x), groups, ~lone), cell[~lone]
     k = np.empty(cell.size, dtype=np.intc)  # frexp's type: ldexp is 17x slower on int64
     scale = np.empty(cell.size)  # each row of x * scale has unit norm
+    tol = np.empty(cell.size)
     for (r, m, _, _), dk, xk in zip(groups, _blocks(d, groups), _blocks(x, groups)):
         k[r:r + m] = np.frexp(np.min(dk, axis=1))[1]
         np.ldexp(dk, -k[r:r + m, None], out=dk)
-        scale[r:r + m] = 1.0 / np.sqrt(_row_dots(xk, xk))
+        xx = _row_dots(xk, xk)
+        scale[r:r + m] = 1.0 / np.sqrt(xx)
+        tol[r:r + m] = _settle_tol(xk, xx)
     size = sum(m * n for _, m, n, _ in groups)
     y = np.empty(size)
     xb, yb = _blocks(x, groups), _blocks(y, groups)
@@ -381,14 +408,14 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
         rho_old, rho = rho, scale * np.concatenate(list(map(_row_dots, xb, yb))) / yy
         x, y, xb, yb = y, x, yb, xb
         scale = 1.0 / np.sqrt(yy)
-        settled = rho_old - rho <= 2.0 * _EPS * rho
+        settled = rho_old - rho <= tol * rho
         if settled.any():
             gaps[cell[settled]] = np.ldexp(np.minimum(rho, rho_old)[settled], k[settled])
             keep = ~settled
             if not keep.any():
                 return gaps
             groups = _compact((d, l, x), groups, keep)
-            cell, k, scale, rho = cell[keep], k[keep], scale[keep], rho[keep]
+            cell, k, scale, rho, tol = cell[keep], k[keep], scale[keep], rho[keep], tol[keep]
             size = sum(m * n for _, m, n, _ in groups)
             xb, yb = _blocks(x, groups), _blocks(y, groups)
     j, g = cells[cell[0]]
@@ -525,8 +552,11 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
     block, by inverse iteration on its relatively accurate LDL^T factors
     (_gap_inverse_iteration), one dpttrs solve per step, from the
-    Holstein-Primakoff one-quasiparticle state: 2-6 steps at J >= 10^5 for
-    gamma = 0 and |gamma| >= 0.5, up to 16 at small |gamma|.  Time and
+    Holstein-Primakoff one-quasiparticle state, until the quotient falls
+    by at most tau = 2 eps max(1, L / 2^19) relative, L the start vector's
+    effective length (_settle_tol): 2-6 steps at J >= 10^5 for gamma = 0
+    and |gamma| >= 0.5 (2 at gamma = 0 up to J = 10^7), up to 16 at
+    J = 10^6 and small |gamma|, 27 at J = 2 10^6, gamma = 1e-6.  Time and
     memory are O(J) at gamma = 0 and O(min(J, 1/|gamma|)) otherwise, since
     the solve reads only the block's leading _gap_window columns.
     |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and

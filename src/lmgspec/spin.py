@@ -79,13 +79,14 @@ class SpinOperators:
     jz: np.ndarray   # diagonal, entries m
 
 
-def ladder(j: SpinJ, start: int = 0, stop=None) -> np.ndarray:
+def ladder(j: SpinJ, start: int = 0, stop=None, step: int = 1, out=None) -> np.ndarray:
     """Condon-Shortley ladder v_i = <m+1|Jx|m> = (1/2)sqrt(J(J+1) - m(m+1))
-    = (1/2)sqrt((2J - i)(i + 1)) for basis index i = m + J, i = start ..
-    stop-1 (default: all, i < 2J).  Each product is an exact integer while
-    (J + 1/2)^2 < 2^53, so every entry is its correctly rounded value."""
-    i = np.arange(start, j.two_j if stop is None else stop, dtype=float)
-    v = j.two_j - i
+    = (1/2)sqrt((2J - i)(i + 1)) for basis index i = m + J, i = start,
+    start + step, .. < stop (default: all, i < 2J), written into out if
+    given.  Each product is an exact integer while (J + 1/2)^2 < 2^53, so
+    every entry is its correctly rounded value."""
+    i = np.arange(start, j.two_j if stop is None else stop, step, dtype=float)
+    v = np.subtract(j.two_j, i, out=out)
     v *= np.add(i, 1.0, out=i)
     return np.multiply(np.sqrt(v, out=v), 0.5, out=v)
 

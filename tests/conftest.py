@@ -232,8 +232,8 @@ def invit_start_one_row(j: SpinJ, gamma: float) -> np.ndarray:
 def invit_one_row(d: np.ndarray, l: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The settled iterate, of unit norm, of inverse iteration on one row of
     LDL^T factors (d, l) from the start x, with the gap kernel's stopping
-    rule: the first step at which the Rayleigh quotient x.y / y.y falls by
-    at most 2 eps relative.  d is first scaled by the power of two that
+    rule for rows of at most 2^19 columns: the first step at which the
+    Rayleigh quotient x.y / y.y falls by at most 2 eps relative.  d is first scaled by the power of two that
     puts its smallest entry in [1/2, 1), as in the kernel, so y.y stays in
     float64 range."""
     d = np.ldexp(d, -np.frexp(d.min())[1])

@@ -830,6 +830,24 @@ class TestBench:
         assert 4 * 8 * jj <= mem[0] <= 16 * 8 * jj
         assert all(0 < m < 4 * 8 * jj // 100 for m in mem[1:])
 
+    def test_seconds_are_untraced(self, capsys):
+        # tracemalloc slows a solve of many small allocations: a windowed
+        # cell at J = 1e5, gamma = 0.5 took 3.2 ms traced against 0.34 ms
+        # untraced.  bench times its untraced pass, so its seconds match an
+        # untraced in-process timing within 2x (medians of 9).
+        jj, g = 10**5, 0.5
+        code, out, _ = run(capsys, "bench", "--j-list", ",".join([str(jj)] * 9),
+                           "--gamma", str(g))
+        assert code == 0
+        seconds = np.median([float(r["seconds"]) for r in csv_rows(out)[1]])
+        times = []
+        for _ in range(9):
+            start = time.perf_counter()
+            spectral_gap(SpinJ(2 * jj), g)
+            times.append(time.perf_counter() - start)
+        untraced = np.median(times)
+        assert untraced / 2 <= seconds <= 2 * untraced
+
     @pytest.mark.parametrize("j_list", ["10,100,5/2", "10,0"])
     def test_j_list_is_checked_before_the_first_solve(self, capsys, monkeypatch, j_list):
         calls = counting(monkeypatch, "spectral_gap")
@@ -860,7 +878,7 @@ class TestBench:
     def test_first_cell_does_not_measure_the_scipy_import(self):
         # Only a fresh interpreter shows this: here scipy is already imported.
         # Two equal cells read about the same peak once the import runs
-        # before the first cell.  At gamma = 0 each cell holds 6.65 MB of
+        # before the first cell.  At gamma = 0 each cell holds 3.2 MB of
         # length-J arrays; a gamma = 0.5 cell reads only its 128-column
         # window, about 16 KB, where the ratio would compare allocator noise.
         proc = run_fresh("import sys; from lmgspec.cli import main; sys.exit(main(sys.argv[1:]))",

@@ -422,7 +422,7 @@ class TestGapInverseIteration:
 
     @pytest.mark.parametrize("jj", [2, 1000, 65537])
     def test_start_row(self, jj):
-        # At J = 65537 a row spans two column chunks; at |gamma| = 300 the
+        # At J = 65537 a row spans five column chunks; at |gamma| = 300 the
         # running product of the ratios e^(-600) v_(2k+2) / v_(2k+1) leaves
         # float64 after two factors.
         jv = SpinJ(2 * jj)
@@ -767,7 +767,7 @@ class TestGapBits:
 
     @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536, 2 * 10**5, 10**6])
     def test_factors_equal_the_one_row_build(self, jj):
-        # Past J = 2^16 a row is built in column chunks, whose carries must
+        # Past J = 2^14 a row is built in column chunks, whose carries must
         # round as one unchunked solve does.
         # A row built on its _gap_window holds the leading columns of the
         # full-length build, with l = 0 in its last column.
@@ -783,5 +783,74 @@ class TestGapBits:
                     assert np.array_equal(x[r], invit_start_one_row(jv, g)[:n])
 
     def test_factors_do_not_depend_on_the_chunk_width(self, monkeypatch):
+        # Batches of at most 2^12 doubles, and one row in column chunks of
+        # 2^12, 2^14 (the kernel's) and 2^16.
         monkeypatch.setattr(eigensolve, "_LDL_CHUNK", 1 << 12)
-        self.test_factors_equal_the_one_row_build(2 * 10**5)
+        for width in (1 << 12, 1 << 14, 1 << 16):
+            monkeypatch.setattr(eigensolve, "_ROW_CHUNK", width)
+            self.test_factors_equal_the_one_row_build(2 * 10**5)
+
+
+class TestSettleTol:
+    """The settle tolerance tau = 2 eps max(1, L / 2^19), L the start
+    vector's participation ratio (eigensolve._settle_tol).  A row of at most
+    2^19 columns keeps exactly 2 eps, so its bits and steps cannot move; a
+    longer row stops spending solves on the quotient's rounding."""
+
+    @staticmethod
+    def tols(monkeypatch, cells):
+        """The tau of every row that the solves of these cells iterate."""
+        got = []
+        inner = eigensolve._settle_tol
+        monkeypatch.setattr(eigensolve, "_settle_tol",
+                            lambda x, xx: got.append(inner(x, xx)) or got[-1])
+        spectral_gap_cells(cells)
+        return np.concatenate(got)
+
+    def test_two_eps_up_to_2_19_columns(self, monkeypatch):
+        # The criterion-10 grid, the windowed gap_large cells and every
+        # TestGapBits J; a 1x1 block (J = 1) never iterates.
+        cells = ([(SpinJ(2 * jj), g) for jj in CRITERION_10_J for g in GRID_GAMMAS]
+                 + window_cells("gap_large")
+                 + [(SpinJ(2 * jj), g) for jj in TestGapBits.HEX for g in TestGapBits.GAMMAS])
+        tol = self.tols(monkeypatch, cells)
+        assert tol.size == sum(_gap_window(*cell) > 1 for cell in cells)
+        assert (tol == 2 * np.finfo(float).eps).all()
+
+    def test_tol_grows_with_the_effective_length(self, monkeypatch):
+        # L is J at gamma = 0 (0.97 J measured) and O(1/|gamma|) otherwise.
+        eps = np.finfo(float).eps
+        tol = self.tols(monkeypatch, [(SpinJ(2 * 10**6), g) for g in (0.0, 1e-6, 1e-5)])
+        assert 1.8 * 2 * eps < tol[0] < 1.9 * 2 * eps
+        assert 1.5 * 2 * eps < tol[1] < 1.6 * 2 * eps
+        assert tol[2] == 2 * eps
+
+    def test_j_1e7_settles_in_two_solves(self, monkeypatch):
+        # From the exact gamma = 0 gap vector the quotient falls by 26 eps
+        # relative at step 2 and rises by 5 at step 3.  tau = 37 eps settles
+        # the row at step 2, where the 2 eps rule took a third solve; the gap,
+        # the smaller of the last two quotients, is step 2's either way.
+        calls = []
+        inner = scipy.linalg.lapack.dpttrs
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
+        gap = _gap_inverse_iteration([(SpinJ(2 * 10**7), 0.0)])[0]
+        assert (gap.hex(), len(calls)) == ("0x1.00000000061e3p+0", 2)
+
+    @pytest.mark.parametrize("jj", [10**6, 2 * 10**6, 5 * 10**6])
+    def test_long_rows_against_the_two_eps_rule(self, monkeypatch, jj):
+        """tau against the 2 eps rule at gamma in {1e-6, 1e-5, 1e-4}: the
+        same steps or fewer, and the gap within 16 ulps.  tau is at most
+        4.9 eps on these cells, so a row that settles one step earlier
+        moves its gap by at most tau rho, under 10 ulps; the settled
+        quotient itself wobbles by up to 640 eps between steps at J = 5e6,
+        gamma = 1e-6.  Measured: the same bits and steps on all 9 cells."""
+        cells = [(SpinJ(2 * jj), g) for g in (1e-6, 1e-5, 1e-4)]
+        new = TestGapWindow.solve(monkeypatch, cells)
+        monkeypatch.setattr(eigensolve, "_settle_tol",
+                            lambda x, xx: np.full(x.shape[0], 2 * np.finfo(float).eps))
+        old = TestGapWindow.solve(monkeypatch, cells)
+        for (new_hex, new_steps), (old_hex, old_steps) in zip(new, old):
+            gap, old_gap = float.fromhex(new_hex), float.fromhex(old_hex)
+            assert new_steps <= old_steps
+            assert abs(gap - old_gap) <= 16 * math.ulp(old_gap)
