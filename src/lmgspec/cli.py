@@ -6,7 +6,8 @@ CSV (default) or JSON, to stdout or --out; floats are formatted as shortest
 round-trip decimals so repeated runs are byte-identical.  Grid cells run
 serially in grid order.  gap-scan accepts --threads and rejects values below
 1, but reads it no further; it solves its whole (J, gamma) grid in one
-spectral_gap_cells call.  An empty J or gamma list is a usage error.  bench
+eigensolve._gap_cells call, the solve of spectral_gap_cells without a
+GapResult per cell.  An empty J or gamma list is a usage error.  bench
 ends its table with the environment it measured in.  spectrum --model general reads no gamma: it
 diagonalizes once per J and repeats the levels for every gamma.
 
@@ -36,7 +37,7 @@ import tracemalloc
 
 import numpy as np
 
-from .eigensolve import _gap_bound, eig_dense_symmetric, spectral_gap, spectral_gap_cells
+from .eigensolve import _gap_bound, _gap_cells, eig_dense_symmetric, spectral_gap
 from .errors import LmgError
 from .groundstate import ground_state
 from .models import ModelParams, build_lmg_general, build_susy_rotated
@@ -133,16 +134,19 @@ def write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def emit(args, config: dict, header: list, rows: list, summary: dict, comments=(), **extra):
+def emit(args, config: dict, header: list, rows: list, summary: dict, comments=(),
+         lines=None, **extra):
     """The rows as CSV, with comments as trailing '# ' lines, or as one JSON
-    object of config, rows keyed by header, summary and any extra keys."""
+    object of config, rows keyed by header, summary and any extra keys.
+    lines, where given, are the rows' CSV lines, formatted by fmt."""
     if args.format == "json":
         payload = dict(config=config, rows=[dict(zip(header, r)) for r in rows],
                        summary=summary, **extra)
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
-        text = "\n".join(lines + [f"# {c}" for c in comments])
+        if lines is None:
+            lines = [",".join(fmt(v) for v in row) for row in rows]
+        text = "\n".join([",".join(header), *lines, *(f"# {c}" for c in comments)])
     write(args, text + "\n")
 
 
@@ -198,22 +202,34 @@ GAP_HEADER = ["j", "gamma", "gap", "bound", "satisfied"]
 
 
 def cmd_gap_scan(args) -> int:
+    """Each J's text is made once per J, and each gamma's text and bound
+    text once per gamma; each cell adds only its gap and verdict."""
     j_values = parse_j_values(args.j_list)
     gammas = gamma_grid(args)
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
-    cells = [(jv, g) for jv in j_values for g in gammas]
     # Half-integer J and J = 0, where spectral_gap raises NotIntegerSpin, give error rows.
-    defined = [jv.is_integer_spin() and jv.two_j >= 2 for jv, _ in cells]
-    results = iter(spectral_gap_cells(c for c, ok in zip(cells, defined) if ok))
-    rows = []
-    for (jv, g), ok in zip(cells, defined):
-        r = next(results) if ok else None
-        rows.append((str(jv), g, r.gap, r.bound, r.satisfied) if ok
-                    else (str(jv), g, None, None, "error"))
-    n_err = sum(1 for r in rows if r[4] == "error")
+    defined = [jv.is_integer_spin() and jv.two_j >= 2 for jv in j_values]
+    bounds, gaps, satisfied = _gap_cells([(jv, g) for jv, ok in zip(j_values, defined) if ok
+                                          for g in gammas])
+    n = len(gammas)
+    g_texts = [fmt(g) for g in gammas]
+    b_texts = [fmt(b) for b in bounds[:n]]  # cosh 2 gamma, the same at every J
+    rows, lines, start = [], [], 0
+    for jv, ok in zip(j_values, defined):
+        jt = str(jv)
+        if not ok:
+            rows += [(jt, g, None, None, "error") for g in gammas]
+            lines += [f"{jt},{gt},,,error" for gt in g_texts]
+            continue
+        run = slice(start, start + n)
+        start += n
+        rows += [(jt, *cell) for cell in zip(gammas, gaps[run], bounds[run], satisfied[run])]
+        lines += [f"{jt},{gt},{fmt(gap)},{bt},{fmt(sat)}"
+                  for gt, bt, gap, sat in zip(g_texts, b_texts, gaps[run], satisfied[run])]
+    n_err = (len(j_values) - sum(defined)) * len(gammas)
     config = {"command": "gap-scan", "j": [str(j) for j in j_values], "gamma": gammas}
-    emit(args, config, GAP_HEADER, rows, {"n_rows": len(rows), "n_errors": n_err})
+    emit(args, config, GAP_HEADER, rows, {"n_rows": len(rows), "n_errors": n_err}, lines=lines)
     return 1 if rows and n_err == len(rows) else 0
 
 

@@ -13,11 +13,12 @@
   not O(J), with every gap bit-identical to the full-length solve.
   A list of (J, gamma) cells, such as a gap-scan's whole grid, runs as
   batches of at most 2^16 doubles per row array, counting each row's
-  window (or one cell): the factors of each run of cells with one J and
-  window are built together, one array operation for all of them, and all
-  rows of a batch form one block-diagonal matrix, so each step is one
-  LAPACK dpttrs solve for the batch.  A row leaves the batch once it
-  settles.
+  window (or one cell), each cell's window computed once.  One factor
+  build per batch fills every run of cells with one J and window: each run
+  fills its ladder once, and every array operation but the run's ladder
+  products and cumprod covers the whole batch.  All rows of a batch form
+  one block-diagonal matrix, so each step is one LAPACK dpttrs solve for
+  the batch.  A row leaves the batch once it settles.
 * The smallest eigenvalue of a symmetric tridiagonal by one LAPACK dstebz
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
@@ -121,15 +122,17 @@ def _gap_window(j: SpinJ, gamma: float) -> int:
     return n if 2 * window > n else window
 
 
-def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
+def _gap_ldl_factors(cells: list, groups: list, d: np.ndarray, l: np.ndarray,
                      x: np.ndarray) -> None:
-    """Write into the (nb, K) arrays d, l and x, K <= J: row r of d and l
-    the LDL^T factors of the leading K x K block A_K of the gap-sector block
-    X^T X at -|gammas[r]|, similarity-signed so that every d_k > 0 and every
-    l_k < 0, and l[r, K-1] = 0; row r of x the start vector of that row's
-    inverse iteration, in its first K entries.  The build runs from column
-    0 down, so these are, bit for bit, the leading K columns of the
-    full-length build (K = J), whose l_(K-1) couples A_K to the rest.
+    """Write, for each group (first row r, rows m, K, first element p) of
+    groups, the (m, K) block at p of the flat buffers d, l and x: row i the
+    LDL^T factors d and l of the leading K x K block A_K of the gap-sector
+    block X^T X of cell r + i at -|gamma|, similarity-signed so that every
+    d_k > 0 and every l_k < 0, with l_(K-1) = 0, and x the start vector of
+    that row's inverse iteration.  All cells of a group have one J.  The
+    build runs from column 0 down, so these are, bit for bit, the leading K
+    columns of the full-length build (K = J), whose l_(K-1) couples A_K to
+    the rest.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -154,87 +157,107 @@ def _gap_ldl_factors(j: SpinJ, gammas: list, d: np.ndarray, l: np.ndarray,
     gap vector at J = 400, gamma = 0.5.  The floor keeps subnormals out of
     the solves, which they slow several-fold.
 
-    All rows are built at once.  The chain at -|gamma| is the gamma-free
-    chain v (spin.ladder) times e^|gamma| on a and e^-|gamma| on b, so v is
-    built once per chunk, into two reused buffers at even and odd i, and
-    each array operation covers every row.  The recurrence for u is one unit
-    lower bidiagonal solve (LAPACK dtbtrs) over the stacked rows, with
-    coupling 0 at each row start, so it rounds each row as it would alone.
-    One row goes in column chunks of _ROW_CHUNK = 2^14, whose working arrays
-    stay in a 2 MB L2 cache (at J = 10^7, 2^13 and 2^15 measured alike, 2^12
-    and 2^16 8-20% slower), carrying u_(k-1) and x_k across chunk
-    boundaries, so that x is one running product, as an unchunked cumprod
-    rounds it.  Each chunk after the first starts its solve one column
-    early, at the carried u_(s-1), so that dtbtrs rounds u_s as well:
-    OpenBLAS rounds c + c u unlike numpy, and a carry added in numpy would
-    make the factors depend on _ROW_CHUNK.  Several rows are one chunk, at
-    most _LDL_CHUNK = 2^16 doubles in all, since their batch is (_batches).
+    The whole batch is built in one call.  The chain at -|gamma| is the
+    gamma-free chain v (spin.ladder) times e^|gamma| on a and e^-|gamma| on
+    b, so each group's ladder is filled once, its even and odd entries into
+    two reused halves of one buffer, and four products give every row of the
+    group its a (in d's place), -b (in l's; -b because (-b) a / d rounds as
+    -(b a / d), so l needs no negation) and the numerators (in x's) and
+    denominators (in a scratch array) of its start vector's ratios.  One
+    cumprod per group then runs the start vector along its rows.  Every
+    other array operation covers the whole batch at once.  The recurrence
+    for u is one unit lower bidiagonal solve (LAPACK dtbtrs) over the flat
+    buffer, with coupling 0 at each row start, so it rounds each row as it
+    would alone.  A batch of several rows, at most _LDL_CHUNK = 2^16 doubles
+    in all (_batches), is one chunk.  One row goes in column chunks of
+    _ROW_CHUNK = 2^14, whose working arrays stay in a 2 MB L2 cache (at J =
+    10^7, 2^13 and 2^15 measured alike, 2^12 and 2^16 8-20% slower),
+    carrying u_(k-1) and x_k across chunk boundaries, so that x is one
+    running product, as an unchunked cumprod rounds it.  Each chunk after
+    the first starts its solve one column early, at the carried u_(s-1), so
+    that dtbtrs rounds u_s as well: OpenBLAS rounds c + c u unlike numpy,
+    and a carry added in numpy would make the factors depend on _ROW_CHUNK.
 
-    Each chunk forms a, in x's place until the start vector takes it, and
-    -b, in l's place, once; -b because (-b) a / d rounds as -(b a / d), so
-    l needs no negation.  Besides dtbtrs, the ladder and the cumprod, that
-    leaves 16 elementwise passes, and each element is rounded by the same
-    operations in the same order as in the formulas above.  Apart from d, l
-    and x, the buffers the size of a chunk are the dtbtrs band, two doubles
-    per element, and one scratch array for 1 + u_(k-1), b^2 and the
-    ratios' denominators: at most 3 x 2^16 doubles, against the one array
-    y that the iteration adds.
+    Each element is rounded by the same operations in the same order as in
+    the formulas above.  Apart from d, l and x, the build holds three
+    doubles per element of a chunk: the dtbtrs band during the solve, and
+    the ladder or b^2 between solves, in one buffer, and a scratch array for
+    the ratios' denominators, c and 1 + u.  That is at most 3 x 2^16
+    doubles, against the one array y that the iteration adds, and
+    spin.ladder's index array of one group's row.  The scratch array is the
+    size of a chunk, not of the batch, so that one row's chunks reuse it in
+    the L2 cache: with the iteration's y as scratch J = 10^7 measured 4.5%
+    slower.
     """
     from scipy.linalg.lapack import dtbtrs
 
-    nb, n = d.shape
-    up = np.array([[math.exp(abs(g))] for g in gammas])     # a = v_2k e^|gamma|
-    down = np.array([[math.exp(-abs(g))] for g in gammas])  # b = v_(2k+1) e^-|gamma|
-    width = min(n, _ROW_CHUNK) if nb == 1 else n  # so each chunk of d and l is contiguous
-    band = np.empty((2, nb * width + 1), order="F")
-    va, vb, tmp = np.empty(width + 1), np.empty(width), np.empty((nb, width))
+    size = d.size
+    up = np.array([math.exp(abs(g)) for _, g in cells])[:, None]     # a = v_2k e^|gamma|
+    down = np.array([math.exp(-abs(g)) for _, g in cells])[:, None]  # b = v_(2k+1) e^-|gamma|
     minus_down = -down
-    u_prev = np.zeros(nb)
-    x_next = np.ones(nb)
-    for s in range(0, n, width):
-        t = min(n, s + width)
-        size = t - s
-        # l_s .. l_(s+k-1) and x_(s+1) .. x_(s+k) need v_(2s+2) .. v_(2s+2k);
-        # x_(s+k) is the next chunk's x_t when t < n
-        k = min(size, n - 1 - s)
-        ea = ladder(j, 2 * s, 2 * (s + k) + 1, 2, out=va[:k + 1])  # v_2s .. v_(2s+2k)
-        eb = ladder(j, 2 * s + 1, 2 * t, 2, out=vb[:size])         # v_(2s+1) .. v_(2t-1)
-        dk, lk, q = d[:, s:t], l[:, s:t], tmp[:, :size]
-        a = x[:, s:s + k + 1]  # a_s .. a_(s+k), until the start vector takes their place
-        np.multiply(ea, up, out=a)
-        np.multiply(eb, minus_down, out=lk)  # -b_s .. -b_(t-1)
-        np.divide(lk, a[:, :size], out=dk)
-        np.square(dk, out=dk)          # c_k
-        w = d[:, max(s - 1, 0):t]  # the columns the dtbtrs solve runs over
+    ends = np.fromiter(itertools.chain.from_iterable(  # each row's last element
+        range(p + n - 1, p + m * n, n) for _, m, n, p in groups), np.intp)
+    cut = ends[:-1]  # the last element of each row but the last
+    heads = cut + 1  # the first element of each row but the first
+    q_heads = heads + 1  # their places in q: several rows are one chunk, at s = 0
+    width = min(size, _ROW_CHUNK) if ends.size == 1 else size
+    mem = np.empty(2 * width + 2)
+    band = mem.reshape(2, -1, order="F")
+    q = np.empty(width + 2)  # q[i] holds element s - 1 + i of the chunk at s
+    u_prev, x_next = 0.0, 1.0
+    for s in range(0, size, width):
+        t = min(size, s + width)
+        kk = min(t, size - 1) - s  # [s, s + kk) have a next element: a_(k+1), x_(k+1)
+        cols = []
+        for r, m, n, p in groups:
+            cs, ct = max(s - p, 0), min(t - p, n)  # the chunk's columns of this group
+            k = min(ct, n - 1) - cs  # columns with a next one in the row
+            j, h = cells[r][0], ct - cs
+            even = ladder(j, 2 * cs, 2 * ct + 1, 2, out=mem[:h + 1])  # v_2cs .. v_2ct
+            odd = ladder(j, 2 * cs + 1, 2 * ct, 2, out=mem[h + 1:2 * h + 1])  # .. v_(2ct-1)
+            dk, lk, xk = (buf[p:p + m * n].reshape(m, n) for buf in (d, l, x))
+            qk = q[p + cs - s + 1:][:m * n].reshape(m, -1)  # from column cs
+            rows = slice(r, r + m)
+            np.multiply(even[:k + 1], up[rows], out=dk[:, cs:cs + k + 1])  # a_cs .. a_(cs+k)
+            np.multiply(odd, minus_down[rows], out=lk[:, cs:ct])           # -b
+            # the ratios' e_(2k+2) and e_(2k+1) at +|gamma|
+            np.multiply(even[1:k + 1], down[rows], out=xk[:, cs + 1:cs + k + 1])
+            np.multiply(odd[:k], up[rows], out=qk[:, 1:k + 1])
+            cols.append(xk[:, cs:ct])
+        x[s] = x_next  # x_0 = 1; one row carries x_s across chunks
+        x[heads] = q[q_heads] = 1.0
+        x[s + 1:s + 1 + kk] /= q[2:2 + kk]  # x_(k+1) / x_k until the cumprod
+        for xk in cols:
+            np.cumprod(xk, axis=1, out=xk)
+        if t < size:
+            x_next = x[t - 1] * x[t]
+        np.maximum(x[s:t], _EPS, out=x[s:t])
+
+        c = q[1:t - s + 1]
+        np.divide(l[s:t], d[s:t], out=c)
+        np.square(c, out=c)               # c_k
+        w = q[0 if s else 1:t - s + 1]  # the elements the dtbtrs solve runs over
         ab = band[:, :w.size]
-        sub = ab[1].reshape(w.shape)
-        np.negative(w[:, 1:], out=sub[:, :-1])
-        sub[:, -1] = 0.0               # rows do not couple
-        if s:  # one row: the solve starts at u_(s-1), in d_(s-1)'s place
-            d_last, w[0, 0] = w[0, 0], u_prev[0]
-        dtbtrs(ab, w.reshape(-1), uplo="L", diag="U", overwrite_b=1)
-        if s:
-            w[0, 0] = d_last
-        np.add(u_prev[:, None], 1.0, out=q[:, :1])
-        np.add(dk[:, :-1], 1.0, out=q[:, 1:])  # 1 + u_(k-1)
-        u_prev = dk[:, -1].copy()
-        np.square(a[:, :size], out=dk)
-        dk /= q
-        np.square(lk, out=q)
-        dk += q
-        lk[:, :k] *= a[:, 1:]
-        lk[:, :k] /= dk[:, :k]
-        ratio = x[:, s + 1:s + 1 + k]  # x_(k+1) / x_k until the cumprod
-        np.multiply(ea[1:], down, out=ratio)       # e_(2k+2) at +|gamma|
-        np.multiply(eb[:k], up, out=q[:, :k])      # e_(2k+1) at +|gamma|
-        ratio /= q[:, :k]
-        xk = x[:, s:t]
-        xk[:, 0] = x_next
-        np.cumprod(xk, axis=1, out=xk)
-        if t < n:
-            x_next = xk[:, -1] * x[:, t]
-        np.maximum(xk, _EPS, out=xk)
-    l[:, -1] = 0.0
+        np.negative(w[1:], out=ab[1, :-1])
+        ab[1, -1] = 0.0
+        ab[1, cut] = 0.0                  # rows do not couple
+        if s:  # one row: the solve starts at the carried u_(s-1)
+            w[0] = u_prev
+        dtbtrs(ab, w, uplo="L", diag="U", overwrite_b=1)
+        u_prev = w[-1]
+        w += 1.0                          # 1 + u_k
+        q[heads] = 1.0                    # q[cut + 1]: 1 + u_-1 at each later row's start
+        b2 = mem[:t - s]  # the band is free until the next chunk
+        np.square(l[s:t], out=b2)
+        if t == size:
+            l[ends] = 0.0  # l_(K-1) = 0, and 0 times the next row's a_0
+        l[s:s + kk] *= d[s + 1:s + 1 + kk]  # -b_k a_(k+1)
+        dk = d[s:t]
+        np.square(dk, out=dk)
+        lo = max(s, 1)
+        d[lo:t] /= q[lo - s:t - s]        # a_k^2 / (1 + u_(k-1))
+        dk += b2
+        l[s:t] /= dk
 
 
 _INVIT_MAX_STEPS = 100
@@ -275,21 +298,31 @@ def _settle_tol(x: np.ndarray, xx: np.ndarray) -> np.ndarray:
     return 2.0 * _EPS * np.maximum(1.0, np.sum(x, axis=1) ** 2 / xx / _SETTLE_LENGTH)
 
 
-def _batches(cells: list):
-    """The (J, gamma) cells in grid order, cut into the batches of
-    _gap_inverse_iteration: each row array holds at most _LDL_CHUNK
-    doubles, counting each row's _gap_window, or one row, so a cell whose
-    window is 2^16 or more runs alone."""
-    batch, size = [], 0
-    for cell in cells:
-        n = _gap_window(*cell)
-        if batch and size + n > _LDL_CHUNK:
-            yield batch
-            batch, size = [], 0
-        batch.append(cell)
+def _batches(windows: list):
+    """(start, stop) of each batch of _gap_inverse_iteration, in grid order,
+    for the cells of these _gap_window values: each row array holds at most
+    _LDL_CHUNK doubles, counting each row's window, or one row, so a cell
+    whose window is 2^16 or more runs alone."""
+    start, size = 0, 0
+    for i, n in enumerate(windows):
+        if i > start and size + n > _LDL_CHUNK:
+            yield start, i
+            start, size = i, 0
         size += n
-    if batch:
-        yield batch
+    if windows:
+        yield start, len(windows)
+
+
+def _runs(cells: list, windows: list) -> tuple:
+    """The groups of a batch's flat buffers, one per run of cells with one J
+    and one window K, each (first row, rows, K, first element), and the
+    buffers' size."""
+    groups, r, p = [], 0, 0
+    for (_, n), run in itertools.groupby(zip([j.two_j for j, _ in cells], windows)):
+        m = len(list(run))
+        groups.append((r, m, n, p))
+        r, p = r + m, p + m * n
+    return groups, p
 
 
 def _blocks(buf: np.ndarray, groups: list) -> list:
@@ -328,15 +361,17 @@ def _compact(bufs: tuple, groups: list, keep: np.ndarray) -> list:
     return out
 
 
-def _gap_inverse_iteration(cells: list) -> np.ndarray:
+def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
     """Spectral gaps of one batch of (J, gamma) cells, integer J >= 1, by
     inverse iteration on the LDL^T factors of _gap_ldl_factors, from its
-    start vectors x, each row on the leading _gap_window(J, gamma) columns.
+    start vectors x, each row on the leading windows[i] = _gap_window(J,
+    gamma) columns.
 
     The factors are the rows of flat buffers d and l, each run of cells with
-    one J and one window K a (rows, K) block, with l = 0 at the end of each
-    row, so the block-diagonal matrix decouples and each step is one LAPACK
-    dpttrs solve y = A^-1 x for all rows; the solve rounds each block
+    one J and one window K a (rows, K) block, all built by one
+    _gap_ldl_factors call, with l = 0 at the end of each row, so the
+    block-diagonal matrix decouples and each step is one LAPACK dpttrs
+    solve y = A^-1 x for all rows; the solve rounds each block
     exactly as it would alone.  Each block's inverse is entrywise positive
     and x > 0, so y stays positive and every sum in the solve and in the
     dot products (_row_dots, over each block) adds positive terms.  Per
@@ -370,22 +405,18 @@ def _gap_inverse_iteration(cells: list) -> np.ndarray:
     """
     from scipy.linalg.lapack import dpttrs
 
-    groups, r, p = [], 0, 0
-    for (_, n), run in itertools.groupby(cells, key=lambda cell: (cell[0], _gap_window(*cell))):
-        m = len(list(run))
-        groups.append((r, m, n, p))
-        r, p = r + m, p + m * n
-    d, l, x = (np.empty(p) for _ in range(3))
+    groups, size = _runs(cells, windows)
+    d, l, x = (np.empty(size) for _ in range(3))
+    _gap_ldl_factors(cells, groups, d, l, x)
     gaps = np.empty(len(cells))
-    for (r, m, n, _), dk, lk, xk in zip(groups, *(_blocks(a, groups) for a in (d, l, x))):
-        _gap_ldl_factors(cells[r][0], [g for _, g in cells[r:r + m]], dk, lk, xk)
-        if n == 1:  # a 1x1 block is its own eigenvalue
-            gaps[r:r + m] = dk[:, 0]
     cell = np.arange(len(cells))
-    lone = np.repeat([n == 1 for _, _, n, _ in groups], [m for _, m, _, _ in groups])
-    if lone.all():
-        return gaps
-    if lone.any():
+    if any(n == 1 for _, _, n, _ in groups):  # a 1x1 block is its own eigenvalue
+        for r, m, n, p in groups:
+            if n == 1:
+                gaps[r:r + m] = d[p:p + m]
+        lone = np.repeat([n == 1 for _, _, n, _ in groups], [m for _, m, _, _ in groups])
+        if lone.all():
+            return gaps
         groups, cell = _compact((d, l, x), groups, ~lone), cell[~lone]
     k = np.empty(cell.size, dtype=np.intc)  # frexp's type: ldexp is 17x slower on int64
     scale = np.empty(cell.size)  # each row of x * scale has unit norm
@@ -520,11 +551,24 @@ def _gap_bound(j: SpinJ, gamma: float) -> float:
     return bound
 
 
-def _gap_result(j: SpinJ, gamma: float, gap: float, bound: float) -> GapResult:
+def _satisfied(j: SpinJ, gamma: float, gap: float, bound: float) -> bool:
+    """gap >= bound, within a 1e-9 slack; OverflowRisk where the gap is not
+    finite."""
     if not math.isfinite(gap):
         raise OverflowRisk(f"J={j}, gamma={gamma!r}: the gap is not finite in float64")
-    satisfied = gap >= bound - 1e-9 * max(1.0, bound)
-    return GapResult(gap=gap, bound=bound, satisfied=satisfied)
+    return gap >= bound - 1e-9 * max(1.0, bound)
+
+
+def _gap_cells(cells: list) -> tuple:
+    """The solve of spectral_gap_cells, as three lists, bounds, gaps and
+    satisfied, rather than one GapResult per cell: gap-scan formats them
+    without building those objects."""
+    bounds = [_gap_bound(j, g) for j, g in cells]
+    windows = [_gap_window(j, g) for j, g in cells]
+    gaps = []
+    for a, b in _batches(windows):
+        gaps += _gap_inverse_iteration(cells[a:b], windows[a:b]).tolist()
+    return bounds, gaps, [_satisfied(j, g, gap, b) for (j, g), gap, b in zip(cells, gaps, bounds)]
 
 
 def spectral_gap_cells(cells) -> list:
@@ -534,15 +578,12 @@ def spectral_gap_cells(cells) -> list:
     The cells run in grid order in batches of _gap_inverse_iteration, each
     holding at most 2^16 doubles per row array, each row counted at its
     _gap_window, or one cell: a gamma = 0 cell from J = 2^16 up runs alone,
-    with the memory of one spectral_gap call.  Every cell is checked, in
-    order, before any is solved.
+    with the memory of one spectral_gap call.  Each cell's window is
+    computed once, and each batch's factors are one _gap_ldl_factors call.
+    Every cell is checked, in order, before any is solved.
     """
-    cells = list(cells)
-    bounds = [_gap_bound(j, g) for j, g in cells]
-    gaps = []
-    for batch in _batches(cells):
-        gaps += _gap_inverse_iteration(batch).tolist()
-    return [_gap_result(j, g, gap, b) for (j, g), gap, b in zip(cells, gaps, bounds)]
+    bounds, gaps, satisfied = _gap_cells(list(cells))
+    return list(map(GapResult, gaps, bounds, satisfied))
 
 
 def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
@@ -574,4 +615,4 @@ def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
     if j.two_j // 2 > _DENSE_GAP_MAX_J:
         raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
     gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
-    return _gap_result(j, gamma, gap, bound)
+    return GapResult(gap, bound, _satisfied(j, gamma, gap, bound))

@@ -1,6 +1,5 @@
 """Gap solvers, dense oracle, characteristic polynomials, gap machinery."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -24,7 +23,14 @@ from conftest import (
     symmetrize_tridiag,
 )
 from lmgspec import eigensolve
-from lmgspec.eigensolve import _batches, _gap_inverse_iteration, _gap_ldl_factors, _gap_window
+from lmgspec.cli import main as cli_main
+from lmgspec.eigensolve import (
+    _batches,
+    _gap_inverse_iteration,
+    _gap_ldl_factors,
+    _gap_window,
+    _runs,
+)
 from lmgspec import (
     CharPoly,
     DimensionMismatch,
@@ -49,12 +55,29 @@ from lmgspec import (
 )
 
 
-def ldl_factors(jv, gammas, n=None):
-    """_gap_ldl_factors into fresh (len(gammas), n) arrays d, l and x, the
-    leading n columns (default: all J)."""
-    d, l, x = np.empty((3, len(gammas), n or jv.two_j // 2))
-    _gap_ldl_factors(jv, gammas, d, l, x)
-    return d, l, x
+def windows_of(cells):
+    return [_gap_window(*cell) for cell in cells]
+
+
+def batches(cells):
+    """The batches of spectral_gap_cells, each a list of cells."""
+    return [cells[a:b] for a, b in _batches(windows_of(cells))]
+
+
+def invit(cells):
+    """_gap_inverse_iteration on one batch of cells, each on its window."""
+    return _gap_inverse_iteration(cells, windows_of(cells))
+
+
+def ldl_factors(cells, windows=None):
+    """One _gap_ldl_factors call on a batch of cells, each row on its
+    window (default: all J columns): the rows (d, l, x) of each cell."""
+    windows = windows or [j.two_j // 2 for j, _ in cells]
+    groups, size = _runs(cells, windows)
+    d, l, x = np.empty((3, size))
+    _gap_ldl_factors(cells, groups, d, l, x)
+    return [tuple(a[p + i * n:p + (i + 1) * n] for a in (d, l, x))
+            for _, m, n, p in groups for i in range(m)]
 
 
 def random_tridiag(rng, n=12):
@@ -310,7 +333,7 @@ class TestGapInverseIteration:
         for jj in list(range(1, 41)) + [1000]:
             jv = SpinJ(2 * jj)
             chain = supercharge_sigma_min(jv, g) ** 2
-            assert abs(_gap_inverse_iteration([(jv, g)])[0] - chain) <= 1e-12 * chain
+            assert abs(invit([(jv, g)])[0] - chain) <= 1e-12 * chain
 
     @pytest.mark.parametrize("g", TWO_KERNEL_GAMMAS)
     @pytest.mark.parametrize("jj", [20001, 50000])
@@ -362,7 +385,7 @@ class TestGapInverseIteration:
         inner = scipy.linalg.lapack.dpttrs
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
-        _gap_inverse_iteration([(SpinJ(2 * jj), g) for g in gammas])
+        invit([(SpinJ(2 * jj), g) for g in gammas])
         return len(calls)
 
     @pytest.mark.parametrize("g, most", [(0.8, 6), (-1.5, 6), (0.0, 2)])
@@ -380,7 +403,7 @@ class TestGapInverseIteration:
         # 14 steps (16 from the zero mode's reciprocal, 28 from the all-ones
         # vector), all 50 cells in one batch
         gammas = np.linspace(0.05, 3.0, 50).tolist()
-        assert len(list(_batches([(SpinJ(2000), g) for g in gammas]))) == 1
+        assert len(batches([(SpinJ(2000), g) for g in gammas])) == 1
         assert self.steps(monkeypatch, 1000, gammas) <= 20
 
     @pytest.mark.parametrize("jj", [1, 2, 3, 10, 25, 40])
@@ -415,7 +438,7 @@ class TestGapInverseIteration:
                         ax -= b[k - 1] * a[k] * x[k - 1]
                     lam = (jj - 2 * k) * mp.sinh(2 * t) + mp.exp(-2 * t)
                     assert abs(ax - lam * x[k]) <= mp.mpf(10) ** -35 * diag
-                start = ldl_factors(jv, [g])[2][0]
+                start = ldl_factors([(jv, g)])[0][2]
                 want = np.array([max(float(xk), np.finfo(float).eps) for xk in x[:-1]])
                 assert np.allclose(start, want, rtol=4 * jj * np.finfo(float).eps, atol=0.0)
             assert abs(spectral_gap(jv, 0.0).gap - 1.0) <= 64 * np.finfo(float).eps
@@ -427,7 +450,7 @@ class TestGapInverseIteration:
         # float64 after two factors.
         jv = SpinJ(2 * jj)
         for g in (0.0, 0.5, -0.5, 300.0, -300.0):
-            x = ldl_factors(jv, [g])[2][0]
+            x = ldl_factors([(jv, g)])[0][2]
             assert x[0] == 1.0 and np.isfinite(x).all() and x.min() >= np.finfo(float).eps
             assert np.array_equal(x, invit_start_one_row(jv, g))
 
@@ -435,7 +458,7 @@ class TestGapInverseIteration:
         jv = SpinJ(2)
         for g in (0.0, 0.4, -2.0):
             expect = math.cosh(2 * g)      # the 1x1 block a_0^2 + b_0^2
-            assert math.isclose(_gap_inverse_iteration([(jv, g)])[0], expect, rel_tol=4e-16)
+            assert math.isclose(invit([(jv, g)])[0], expect, rel_tol=4e-16)
             assert math.isclose(spectral_gap(jv, g).gap, expect, rel_tol=4e-16)
 
     def test_step_cap_raises(self, monkeypatch):
@@ -518,26 +541,32 @@ class TestSpectralGaps:
         # so a gamma = 0 cell, whose window is J, runs alone from J = 2^16
         # up, with the memory of one solve.  At J = 1000, 65 rows fill a
         # batch.
-        assert [len(b) for b in _batches([(SpinJ(2000), 0.0)] * 66)] == [65, 1]
-        assert [len(b) for b in _batches([(SpinJ(2 * 10**5), 0.0), (SpinJ(10), 0.0)])] == [1, 1]
-        assert [len(b) for b in _batches([(SpinJ(2 * 2**16), 0.0)] * 2)] == [1, 1]
+        assert [len(b) for b in batches([(SpinJ(2000), 0.0)] * 66)] == [65, 1]
+        assert [len(b) for b in batches([(SpinJ(2 * 10**5), 0.0), (SpinJ(10), 0.0)])] == [1, 1]
+        assert [len(b) for b in batches([(SpinJ(2 * 2**16), 0.0)] * 2)] == [1, 1]
         cells = [(SpinJ(2 * jj), g) for jj in (1000, 2 * 10**5, 10**7)
                  for g in np.linspace(-3.0, 3.0, 61).tolist() + [1e-3, 0.02]]
-        batches = list(_batches(cells))
-        assert [c for b in batches for c in b] == cells
-        for batch in batches:
+        assert [c for b in batches(cells) for c in b] == cells
+        for batch in batches(cells):
             assert len(batch) == 1 or sum(_gap_window(*c) for c in batch) <= eigensolve._LDL_CHUNK
         sizes = []
 
-        def spy(cells):
+        def spy(cells, windows):
             sizes.append(len(cells))
-            return _gap_inverse_iteration(cells)
+            return _gap_inverse_iteration(cells, windows)
 
         monkeypatch.setattr(eigensolve, "_gap_inverse_iteration", spy)
         jv = SpinJ(2 * 10**5)
         res = spectral_gap_cells([(jv, 0.0), (jv, 0.5), (jv, -1.0), (jv, 2.0)])
         assert sizes == [1, 3]
         assert abs(res[0].gap - 1.0) < 1e-11 and all(r.satisfied for r in res)
+
+
+# One batch of eleven runs: one J in separate runs, and J = 1 rows amid the
+# batch.
+INTERLEAVED = [(SpinJ(2 * jj), g) for jj, g in [
+    (5, 0.3), (10, 0.0), (5, 1e-3), (1, 0.7), (10, 2.0), (5, 0.3), (1000, 0.05),
+    (5, -1.0), (1, 0.0), (30, 0.2), (1000, 0.0)]]
 
 
 class TestGapGrid:
@@ -553,20 +582,42 @@ class TestGapGrid:
         assert spectral_gap_cells([]) == []
 
     def test_interleaved_j_is_bitwise_equal_to_spectral_gap(self):
-        # One J in separate runs, and J = 1 rows amid the batch: the rows
-        # compact across non-adjacent groups, and the 1x1 blocks never solve.
-        cells = [(SpinJ(2 * jj), g) for jj, g in [
-            (5, 0.3), (10, 0.0), (5, 1e-3), (1, 0.7), (10, 2.0), (5, 0.3), (1000, 0.05),
-            (5, -1.0), (1, 0.0), (30, 0.2), (1000, 0.0)]]
-        assert len(list(_batches(cells))) == 1
+        # The rows compact across non-adjacent groups, and the 1x1 blocks
+        # never solve.
+        cells = INTERLEAVED
+        assert len(batches(cells)) == 1
         assert [r.gap.hex() for r in spectral_gap_cells(cells)] == [
             spectral_gap(j, g).gap.hex() for j, g in cells]
+
+    def test_one_build_per_batch(self, monkeypatch, tmp_path):
+        # Each batch is one _gap_ldl_factors call for all its runs of one J
+        # and window, and each cell's window is computed once: on this grid
+        # (one batch of 26 runs) and on the criterion-10 gap-scan (one
+        # batch of 14 runs).
+        builds, windows = [], []
+        build, window = eigensolve._gap_ldl_factors, eigensolve._gap_window
+        monkeypatch.setattr(eigensolve, "_gap_ldl_factors", lambda cells, groups, *bufs: (
+            builds.append((len(cells), len(groups))) or build(cells, groups, *bufs)))
+        monkeypatch.setattr(eigensolve, "_gap_window",
+                            lambda j, g: windows.append((j, g)) or window(j, g))
+        spectral_gap_cells(self.CELLS)
+        assert windows == self.CELLS and builds == [(len(self.CELLS), 26)]
+        builds.clear()
+        windows.clear()
+        assert cli_main(["gap-scan", "--j-list", ",".join(map(str, CRITERION_10_J)),
+                         "--gamma-min", "0", "--gamma-max", "3", "--steps", "50",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        assert [(str(j), g) for j, g in windows] == [
+            (str(jj), i * 3.0 / 49) for jj in CRITERION_10_J for i in range(50)]
+        assert builds == [(len(windows), 14)]
+        for cells, n in ((self.CELLS, 26), (windows, 14)):
+            assert len(batches(cells)) == 1 and len(_runs(cells, windows_of(cells))[0]) == n
 
     def test_dpttrs_calls_and_elements(self, monkeypatch):
         # The grid is one batch of 59250 doubles.  Measured: 30 dpttrs
         # solves of 605900 elements in all; one batch per J, each running
         # until its slowest row settled, took 190 solves of 1651250.
-        assert len(list(_batches(self.CELLS))) == 1
+        assert len(batches(self.CELLS)) == 1
         sizes = []
         inner = scipy.linalg.lapack.dpttrs
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
@@ -575,8 +626,9 @@ class TestGapGrid:
         assert len(sizes) <= 32 and sum(sizes) <= 620000
 
     def test_peak_memory(self):
-        # Measured: 2.50 MB for the grid; 2.23 MB for the J = 1000 row alone
-        # (50 cells), as when each J was its own batch.
+        # Measured: 1.09 MB for the grid, whose one build sizes its scratch
+        # to the batch (0.83 MB when each run of one J and window was built
+        # alone); 0.69 MB for the J = 1000 row alone (50 cells).
         spectral_gap_cells([(SpinJ(10), 0.5)])  # scipy's first-call allocations
         tracemalloc.start()
         try:
@@ -645,7 +697,7 @@ class TestGapWindow:
         cells = [(j, g) for j, g in window_cells(jj) if _gap_window(j, g) < j.two_j // 2]
         assert cells
         for j, g in cells:
-            d, l, x = (a[0] for a in ldl_factors(j, [g], _gap_window(j, g)))
+            d, l, x = ldl_factors([(j, g)], [_gap_window(j, g)])[0]
             v = invit_one_row(d, l, x)
             assert abs(v[-1]) <= limit * np.max(np.abs(v))
 
@@ -765,22 +817,23 @@ class TestGapBits:
         assert got == list(self.HEX[jj])
         assert spectral_gap(jv, self.GAMMAS[3]).gap.hex() == self.HEX[jj][3]
 
-    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536, 2 * 10**5, 10**6])
+    @pytest.mark.parametrize("jj", [1, 2, 5, 30, 1000, 65536, 2 * 10**5, 10**6, "interleaved"])
     def test_factors_equal_the_one_row_build(self, jj):
         # Past J = 2^14 a row is built in column chunks, whose carries must
-        # round as one unchunked solve does.
+        # round as one unchunked solve does.  Each batch is one build of all
+        # its runs of one J and window: at J = 1000 five windows of one J,
+        # and "interleaved" eleven runs, J = 1 rows and non-adjacent runs of
+        # one J among them.
         # A row built on its _gap_window holds the leading columns of the
         # full-length build, with l = 0 in its last column.
-        jv = SpinJ(2 * jj)
-        for batch in _batches([(jv, g) for g in self.GAMMAS]):
-            for n, run in itertools.groupby(batch, key=lambda cell: _gap_window(*cell)):
-                gammas = [g for _, g in run]
-                d, l, x = ldl_factors(jv, gammas, n)
-                for r, g in enumerate(gammas):
-                    d1, l1 = ldl_factors_one_row(jv, g)
-                    assert np.array_equal(d[r], d1[:n]) and l[r, -1] == 0.0
-                    assert np.array_equal(l[r, :-1], l1[:n - 1])
-                    assert np.array_equal(x[r], invit_start_one_row(jv, g)[:n])
+        cells = INTERLEAVED if jj == "interleaved" else [(SpinJ(2 * jj), g) for g in self.GAMMAS]
+        for batch in batches(cells):
+            windows = windows_of(batch)
+            for (jv, g), n, (d, l, x) in zip(batch, windows, ldl_factors(batch, windows)):
+                d1, l1 = ldl_factors_one_row(jv, g)
+                assert np.array_equal(d, d1[:n]) and l[-1] == 0.0
+                assert np.array_equal(l[:-1], l1[:n - 1])
+                assert np.array_equal(x, invit_start_one_row(jv, g)[:n])
 
     def test_factors_do_not_depend_on_the_chunk_width(self, monkeypatch):
         # Batches of at most 2^12 doubles, and one row in column chunks of
@@ -834,7 +887,7 @@ class TestSettleTol:
         inner = scipy.linalg.lapack.dpttrs
         monkeypatch.setattr(scipy.linalg.lapack, "dpttrs",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
-        gap = _gap_inverse_iteration([(SpinJ(2 * 10**7), 0.0)])[0]
+        gap = invit([(SpinJ(2 * 10**7), 0.0)])[0]
         assert (gap.hex(), len(calls)) == ("0x1.00000000061e3p+0", 2)
 
     @pytest.mark.parametrize("jj", [10**6, 2 * 10**6, 5 * 10**6])
