@@ -317,48 +317,37 @@ def _runs(cells: list, windows: list) -> tuple:
     """The groups of a batch's flat buffers, one per run of cells with one J
     and one window K, each (first row, rows, K, first element), and the
     buffers' size."""
+    return _groups(windows, zip([j.two_j for j, _ in cells], windows))
+
+
+def _groups(lengths: list, keys=None) -> tuple:
+    """The groups of flat buffers whose rows have these lengths, one per run
+    of rows of one length K, or of one key given keys, each (first row,
+    rows, K, first element), and the buffers' size."""
     groups, r, p = [], 0, 0
-    for (_, n), run in itertools.groupby(zip([j.two_j for j, _ in cells], windows)):
-        m = len(list(run))
+    for _, run in itertools.groupby(lengths if keys is None else keys):
+        m, n = len(list(run)), lengths[r]
         groups.append((r, m, n, p))
         r, p = r + m, p + m * n
     return groups, p
 
 
 def _blocks(buf: np.ndarray, groups: list) -> list:
-    """The (rows, J) block of each group in the flat buffer buf; groups
-    lists (first row, rows, J, first element) of each block."""
+    """The (rows, K) block of each group in the flat buffer buf; groups
+    lists (first row, rows, K, first element) of each block."""
     return [buf[p:p + m * n].reshape(m, n) for _, m, n, p in groups]
 
 
-def _compact(bufs: tuple, groups: list, keep: np.ndarray) -> list:
-    """Move the kept rows of the flat buffers forward in place, in order, over
-    the rows that leave, and return the groups of the kept rows.
-
-    Each run of kept rows is one slice assignment, which numpy copies front
-    to back without a temporary: a run that overlaps its new place is read
-    before it is overwritten.
-    """
-    kept = np.add.reduceat(keep, [r for r, _, _, _ in groups]).tolist()
-    runs = [0, *(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), keep.size]
-    edges, g = [], 0
-    for i in runs:  # each run's first row as an element offset
-        while g + 1 < len(groups) and groups[g + 1][0] <= i:
-            g += 1
-        r, _, n, p = groups[g]
-        edges.append(p + (i - r) * n)
-    to = 0
-    for a, b in zip(edges[1 - keep[0]::2], edges[2 - keep[0]::2]):
-        if a > to:
-            for buf in bufs:
-                buf[to:to + b - a] = buf[a:b]
-        to += b - a
-    out, r, p = [], 0, 0
-    for (_, _, n, _), m in zip(groups, kept):
-        if m:
-            out.append((r, m, n, p))
-            r, p = r + m, p + m * n
-    return out
+def _compact(bufs: tuple, lengths: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the kept rows of the flat buffers, whose rows have these
+    lengths, forward in place, in order, over the rows that leave, and
+    return the kept rows' lengths.  One element mask gathers each buffer,
+    so the copy holds one buffer's kept elements at a time."""
+    mask = np.repeat(keep, lengths)
+    for buf in bufs:
+        kept = buf[:mask.size][mask]
+        buf[:kept.size] = kept
+    return lengths[keep]
 
 
 def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
@@ -387,12 +376,14 @@ def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
     participation ratio L = (sum x)^2 / x.x, about J at gamma = 0 and
     O(1/|gamma|) otherwise: a property of the cell, the same to rounding
     whichever window the solve reads, since x is below eps beyond it.
-    Every row of at most 2^19 columns keeps exactly 2 eps.  A settled row
-    leaves the batch: the rows after it move forward in the same buffers
-    (_compact), so each step solves only unsettled rows.  Each row of d is
-    first scaled by an exact power of two so that its smallest entry, an
-    upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y then
-    stays in float64 range.  A 1x1 block is its own eigenvalue and never
+    Every row of at most 2^19 columns keeps exactly 2 eps.  One array of
+    row lengths, from windows, keeps the rows' bookkeeping: a settled row
+    leaves the batch by one element mask over the buffers (_compact), so
+    each step solves only unsettled rows, scales all of x in one multiply
+    and reads each run of rows of one length as a (rows, K) block.  Each
+    row of d is first scaled by an exact power of two so that its smallest
+    entry, an upper bound on the smallest eigenvalue, lies in [1/2, 1): y.y
+    then stays in float64 range.  A 1x1 block is its own eigenvalue and never
     enters a solve, whose Rayleigh quotient would round it.  From the
     one-quasiparticle start a row takes 2-5 steps at J = 10^6 and
     |gamma| >= 0.2, where lambda_1/lambda_0 is about 2, and 2 at gamma = 0,
@@ -410,14 +401,14 @@ def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
     _gap_ldl_factors(cells, groups, d, l, x)
     gaps = np.empty(len(cells))
     cell = np.arange(len(cells))
-    if any(n == 1 for _, _, n, _ in groups):  # a 1x1 block is its own eigenvalue
-        for r, m, n, p in groups:
-            if n == 1:
-                gaps[r:r + m] = d[p:p + m]
-        lone = np.repeat([n == 1 for _, _, n, _ in groups], [m for _, m, _, _ in groups])
-        if lone.all():
+    lengths = np.array(windows)
+    if 1 in windows:  # a 1x1 block is its own eigenvalue
+        keep = lengths > 1
+        gaps[~keep] = d[np.cumsum(lengths)[~keep] - 1]
+        if not keep.any():
             return gaps
-        groups, cell = _compact((d, l, x), groups, ~lone), cell[~lone]
+        lengths, cell = _compact((d, l, x), lengths, keep), cell[keep]
+    groups, size = _groups(lengths.tolist())
     k = np.empty(cell.size, dtype=np.intc)  # frexp's type: ldexp is 17x slower on int64
     scale = np.empty(cell.size)  # each row of x * scale has unit norm
     tol = np.empty(cell.size)
@@ -427,13 +418,13 @@ def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
         xx = _row_dots(xk, xk)
         scale[r:r + m] = 1.0 / np.sqrt(xx)
         tol[r:r + m] = _settle_tol(xk, xx)
-    size = sum(m * n for _, m, n, _ in groups)
     y = np.empty(size)
     xb, yb = _blocks(x, groups), _blocks(y, groups)
     rho = np.full(cell.size, math.inf)
     for _ in range(_INVIT_MAX_STEPS):
-        for (r, m, _, _), xk, yk in zip(groups, xb, yb):
-            np.multiply(xk, scale[r:r + m, None], out=yk)
+        # one row multiplies by its scale alone, without a row-long repeat
+        np.multiply(x[:size], scale if scale.size == 1 else np.repeat(scale, lengths),
+                    out=y[:size])
         dpttrs(d[:size], l[:size - 1], y[:size], overwrite_b=1)
         yy = np.concatenate(list(map(_row_dots, yb, yb)))
         rho_old, rho = rho, scale * np.concatenate(list(map(_row_dots, xb, yb))) / yy
@@ -445,9 +436,9 @@ def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
             keep = ~settled
             if not keep.any():
                 return gaps
-            groups = _compact((d, l, x), groups, keep)
+            lengths = _compact((d, l, x), lengths, keep)
             cell, k, scale, rho, tol = cell[keep], k[keep], scale[keep], rho[keep], tol[keep]
-            size = sum(m * n for _, m, n, _ in groups)
+            groups, size = _groups(lengths.tolist())
             xb, yb = _blocks(x, groups), _blocks(y, groups)
     j, g = cells[cell[0]]
     raise NotConverged(f"J={j}, gamma={g!r}: "

@@ -36,14 +36,16 @@ class SpinJ:
     two_j: int
 
     def __post_init__(self):
-        if self.two_j < 0 or not isinstance(self.two_j, int):
+        if type(self.two_j) is not int or self.two_j < 0:
             raise ValueError(f"two_j must be a non-negative integer, got {self.two_j!r}")
 
     @classmethod
     def from_j(cls, j) -> "SpinJ":
-        """Build from a numeric or string J ("2", "1.5", "3/2" all work)."""
+        """Build from a numeric or string J ("2", "1.5", "3/2" all work),
+        parsed exactly: a number that is not an integer or half-integer,
+        such as 2.7 or 1e-9, is rejected rather than rounded."""
         try:
-            two_j = 2 * (Fraction(j) if isinstance(j, str) else Fraction(j).limit_denominator(2))
+            two_j = 2 * Fraction(j)
         except (ZeroDivisionError, OverflowError):    # "1/0", float inf
             two_j = None
         if two_j is None or two_j.denominator != 1:

@@ -461,6 +461,20 @@ class TestGapInverseIteration:
             assert math.isclose(invit([(jv, g)])[0], expect, rel_tol=4e-16)
             assert math.isclose(spectral_gap(jv, g).gap, expect, rel_tol=4e-16)
 
+    def test_one_long_row_holds_four_row_arrays(self):
+        # d, l and the two iterates x and y: measured 4.002 row arrays.  A
+        # row-long temporary, such as the row's scale repeated over its
+        # length, would read 5.
+        jj = 2**20
+        spectral_gap(SpinJ(10), 0.5)  # scipy's first-call allocations
+        tracemalloc.start()
+        try:
+            spectral_gap(SpinJ(2 * jj), 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.05 * 8 * jj
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(eigensolve, "_INVIT_MAX_STEPS", 2)
         with pytest.raises(NotConverged):

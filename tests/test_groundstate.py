@@ -144,6 +144,14 @@ class TestGroundState:
         with pytest.raises(OverflowRisk):
             ground_state(SpinJ(400), 4.0)
 
+    @pytest.mark.parametrize("g", [400.0, -400.0])
+    def test_overflowing_cosh_raises(self, g):
+        # math.cosh(2 gamma) = cosh(800) raises OverflowError in the
+        # factorized frame; the handler turns it into OverflowRisk
+        with pytest.raises(OverflowRisk, match="out of the float64 range") as err:
+            ground_state(SpinJ(4), g)
+        assert err.value.__suppress_context__
+
     @pytest.mark.parametrize("g", [2.0, -2.0])
     def test_j200_gamma2_finite(self, g):
         # sqrt(P_200(cosh 4)) ~ 1e173, though P_200(cosh 4) itself overflows

@@ -40,7 +40,8 @@ class TestSpinJ:
         assert SpinJ.from_j(2).two_j == 4
         assert SpinJ.from_j(2.5).two_j == 5
 
-    @pytest.mark.parametrize("bad", ["0.3", "-1", "2/3"])
+    @pytest.mark.parametrize("bad", ["0.3", "-1", "2/3", 2.7, pytest.param(0.3, id="float-0.3"),
+                                     7.25, 1e-9])
     def test_from_j_rejects(self, bad):
         with pytest.raises(ValueError):
             SpinJ.from_j(bad)
@@ -53,6 +54,11 @@ class TestSpinJ:
     def test_rejects_negative_two_j(self):
         with pytest.raises(ValueError):
             SpinJ(-2)
+
+    @pytest.mark.parametrize("bad", [True, "3", None, 3.0])
+    def test_rejects_a_two_j_that_is_not_an_int(self, bad):
+        with pytest.raises(ValueError):
+            SpinJ(bad)
 
     def test_basic_properties(self):
         j = SpinJ(4)
