@@ -5,7 +5,6 @@ from .errors import (
     DimensionTooLarge,
     EmptySpectrum,
     LmgError,
-    MethodUnavailable,
     NonFiniteInput,
     NotConverged,
     NotIntegerSpin,

@@ -320,7 +320,7 @@ def cmd_bench(args) -> int:
         for jv, g in cells:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            spectral_gap(jv, g, method="tridiag")
+            spectral_gap(jv, g)
             mems.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         if not tracing:
@@ -328,7 +328,7 @@ def cmd_bench(args) -> int:
     rows = []
     for (jv, g), mem in zip(cells, mems):
         start = time.perf_counter()
-        res = spectral_gap(jv, g, method="tridiag")
+        res = spectral_gap(jv, g)
         elapsed = time.perf_counter() - start
         rows.append((str(jv), g, res.gap, res.bound, res.satisfied, elapsed, mem))
     config = {"command": "bench", "j": [str(j) for j in j_values], "gamma": gammas}

@@ -44,14 +44,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
-    MethodUnavailable,
     NonFiniteInput,
     NotConverged,
     NotIntegerSpin,
     NotSymmetric,
     OverflowRisk,
 )
-from .models import gap_sector_tridiag
 from .spin import SpinJ, ladder
 from .tridiag import GeneralTridiag, SymTridiag
 
@@ -122,17 +120,16 @@ def _gap_window(j: SpinJ, gamma: float) -> int:
     return n if 2 * window > n else window
 
 
-def _gap_ldl_factors(cells: list, groups: list, d: np.ndarray, l: np.ndarray,
-                     x: np.ndarray) -> None:
-    """Write, for each group (first row r, rows m, K, first element p) of
-    groups, the (m, K) block at p of the flat buffers d, l and x: row i the
-    LDL^T factors d and l of the leading K x K block A_K of the gap-sector
-    block X^T X of cell r + i at -|gamma|, similarity-signed so that every
-    d_k > 0 and every l_k < 0, with l_(K-1) = 0, and x the start vector of
-    that row's inverse iteration.  All cells of a group have one J.  The
-    build runs from column 0 down, so these are, bit for bit, the leading K
-    columns of the full-length build (K = J), whose l_(K-1) couples A_K to
-    the rest.
+def _gap_ldl_factors(cells: list, windows: list) -> tuple:
+    """Flat buffers d, l and x for a batch of cells, row i of each on the
+    leading K = windows[i] columns of cell i, the rows in order: d and l the
+    LDL^T factors of the leading K x K block A_K of the gap-sector block
+    X^T X of the cell at -|gamma|, similarity-signed so that every d_k > 0
+    and every l_k < 0, with l_(K-1) = 0, and x the start vector of that
+    row's inverse iteration.  Each run of cells with one J and one window
+    is a (rows, K) block of the buffers.  The build runs from column 0
+    down, so these are, bit for bit, the leading K columns of the
+    full-length build (K = J), whose l_(K-1) couples A_K to the rest.
 
     X is the (J+1) x J bidiagonal block of the supercharge, with diagonal
     a_k = e_2k and subdiagonal b_k = e_(2k+1) of supercharge_chain; m -> -m
@@ -159,12 +156,12 @@ def _gap_ldl_factors(cells: list, groups: list, d: np.ndarray, l: np.ndarray,
 
     The whole batch is built in one call.  The chain at -|gamma| is the
     gamma-free chain v (spin.ladder) times e^|gamma| on a and e^-|gamma| on
-    b, so each group's ladder is filled once, its even and odd entries into
+    b, so each run's ladder is filled once, its even and odd entries into
     two reused halves of one buffer, and four products give every row of the
-    group its a (in d's place), -b (in l's; -b because (-b) a / d rounds as
+    run its a (in d's place), -b (in l's; -b because (-b) a / d rounds as
     -(b a / d), so l needs no negation) and the numerators (in x's) and
     denominators (in a scratch array) of its start vector's ratios.  One
-    cumprod per group then runs the start vector along its rows.  Every
+    cumprod per run then runs the start vector along its rows.  Every
     other array operation covers the whole batch at once.  The recurrence
     for u is one unit lower bidiagonal solve (LAPACK dtbtrs) over the flat
     buffer, with coupling 0 at each row start, so it rounds each row as it
@@ -184,19 +181,19 @@ def _gap_ldl_factors(cells: list, groups: list, d: np.ndarray, l: np.ndarray,
     the ladder or b^2 between solves, in one buffer, and a scratch array for
     the ratios' denominators, c and 1 + u.  That is at most 3 x 2^16
     doubles, against the one array y that the iteration adds, and
-    spin.ladder's index array of one group's row.  The scratch array is the
+    spin.ladder's index array of one run's row.  The scratch array is the
     size of a chunk, not of the batch, so that one row's chunks reuse it in
     the L2 cache: with the iteration's y as scratch J = 10^7 measured 4.5%
     slower.
     """
     from scipy.linalg.lapack import dtbtrs
 
-    size = d.size
+    groups, size = _groups(windows, zip([j.two_j for j, _ in cells], windows))
+    d, l, x = (np.empty(size) for _ in range(3))
     up = np.array([math.exp(abs(g)) for _, g in cells])[:, None]     # a = v_2k e^|gamma|
     down = np.array([math.exp(-abs(g)) for _, g in cells])[:, None]  # b = v_(2k+1) e^-|gamma|
     minus_down = -down
-    ends = np.fromiter(itertools.chain.from_iterable(  # each row's last element
-        range(p + n - 1, p + m * n, n) for _, m, n, p in groups), np.intp)
+    ends = np.cumsum(windows) - 1  # each row's last element
     cut = ends[:-1]  # the last element of each row but the last
     heads = cut + 1  # the first element of each row but the first
     q_heads = heads + 1  # their places in q: several rows are one chunk, at s = 0
@@ -258,6 +255,7 @@ def _gap_ldl_factors(cells: list, groups: list, d: np.ndarray, l: np.ndarray,
         d[lo:t] /= q[lo - s:t - s]        # a_k^2 / (1 + u_(k-1))
         dk += b2
         l[s:t] /= dk
+    return d, l, x
 
 
 _INVIT_MAX_STEPS = 100
@@ -311,13 +309,6 @@ def _batches(windows: list):
         size += n
     if windows:
         yield start, len(windows)
-
-
-def _runs(cells: list, windows: list) -> tuple:
-    """The groups of a batch's flat buffers, one per run of cells with one J
-    and one window K, each (first row, rows, K, first element), and the
-    buffers' size."""
-    return _groups(windows, zip([j.two_j for j, _ in cells], windows))
 
 
 def _groups(lengths: list, keys=None) -> tuple:
@@ -396,9 +387,7 @@ def _gap_inverse_iteration(cells: list, windows: list) -> np.ndarray:
     """
     from scipy.linalg.lapack import dpttrs
 
-    groups, size = _runs(cells, windows)
-    d, l, x = (np.empty(size) for _ in range(3))
-    _gap_ldl_factors(cells, groups, d, l, x)
+    d, l, x = _gap_ldl_factors(cells, windows)
     gaps = np.empty(len(cells))
     cell = np.arange(len(cells))
     lengths = np.array(windows)
@@ -451,9 +440,13 @@ def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
     LAPACK eigvalsh, O(n^3): susy-check calls it up to dimension 4001.
     Raises DimensionMismatch unless m is a square 2-D matrix (a 0 x 0 one
     has no eigenvalues), NonFiniteInput on a NaN or infinite entry, and
-    NotSymmetric where the asymmetry exceeds 1e-12 of the largest entry.
+    NotSymmetric on a complex m or where the asymmetry exceeds 1e-12 of the
+    largest entry.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise NotSymmetric("matrix is complex; need a real symmetric matrix")
+    m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"need a square 2-D matrix, got shape {m.shape}")
     top = float(np.max(np.abs(m), initial=0.0))  # NaN if any entry is NaN
@@ -521,9 +514,6 @@ class GapResult:
     satisfied: bool
 
 
-_DENSE_GAP_MAX_J = 200
-
-
 def _gap_bound(j: SpinJ, gamma: float) -> float:
     """cosh(2*gamma), after the checks every gap solve makes on (j, gamma)."""
     if not math.isfinite(gamma):
@@ -577,33 +567,24 @@ def spectral_gap_cells(cells) -> list:
     return list(map(GapResult, gaps, bounds, satisfied))
 
 
-def spectral_gap(j: SpinJ, gamma: float, method: str = "tridiag") -> GapResult:
-    """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound.
+def spectral_gap(j: SpinJ, gamma: float) -> GapResult:
+    """Spectral gap of the SUSY LMG Hamiltonian and its analytic lower bound:
+    spectral_gap_cells with one cell.
 
-    method="tridiag" (spectral_gap_cells with one cell): the smallest eigenvalue
-    of the size-J gap-sector block X^T X, X the supercharge's bidiagonal
-    block, by inverse iteration on its relatively accurate LDL^T factors
-    (_gap_inverse_iteration), one dpttrs solve per step, from the
-    Holstein-Primakoff one-quasiparticle state, until the quotient falls
-    by at most tau = 2 eps max(1, L / 2^19) relative, L the start vector's
-    effective length (_settle_tol): 2-6 steps at J >= 10^5 for gamma = 0
-    and |gamma| >= 0.5 (2 at gamma = 0 up to J = 10^7), up to 16 at
-    J = 10^6 and small |gamma|, 27 at J = 2 10^6, gamma = 1e-6.  Time and
-    memory are O(J) at gamma = 0 and O(min(J, 1/|gamma|)) otherwise, since
-    the solve reads only the block's leading _gap_window columns.
-    |gap(J, 0) - 1| measured 3.3e-15 at J = 1000, 8.9e-14 at J = 1e6 and
-    5.6e-12 at J = 1e7.  method="dense" diagonalizes the block densely
-    (J <= 200 only).
+    The gap is the smallest eigenvalue of the size-J gap-sector block
+    X^T X, X the supercharge's bidiagonal block, by inverse iteration on
+    its relatively accurate LDL^T factors (_gap_inverse_iteration), one
+    dpttrs solve per step, from the Holstein-Primakoff one-quasiparticle
+    state, until the quotient falls by at most tau = 2 eps max(1, L / 2^19)
+    relative, L the start vector's effective length (_settle_tol): 2-6
+    steps at J >= 10^5 for gamma = 0 and |gamma| >= 0.5 (2 at gamma = 0 up
+    to J = 10^7), up to 16 at J = 10^6 and small |gamma|, 27 at J = 2 10^6,
+    gamma = 1e-6.  Time and memory are O(J) at gamma = 0 and
+    O(min(J, 1/|gamma|)) otherwise, since the solve reads only the block's
+    leading _gap_window columns.  |gap(J, 0) - 1| measured 3.3e-15 at
+    J = 1000, 8.9e-14 at J = 1e6 and 5.6e-12 at J = 1e7.
     The bound is cosh(2*gamma); satisfied allows a 1e-9 slack.
     Raises OverflowRisk where the bound, the squared chain or the gap is not
     finite in float64 (from |gamma| ~ 354 at J = 5, earlier at larger J).
     """
-    if method == "tridiag":
-        return spectral_gap_cells([(j, gamma)])[0]
-    bound = _gap_bound(j, gamma)
-    if method != "dense":
-        raise MethodUnavailable(f"unknown method {method!r}")
-    if j.two_j // 2 > _DENSE_GAP_MAX_J:
-        raise MethodUnavailable(f"dense gap path limited to J <= {_DENSE_GAP_MAX_J}")
-    gap = float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
-    return GapResult(gap, bound, _satisfied(j, gamma, gap, bound))
+    return spectral_gap_cells([(j, gamma)])[0]

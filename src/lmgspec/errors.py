@@ -14,7 +14,8 @@ class OverflowRisk(LmgError):
 
 
 class NotSymmetric(LmgError):
-    """Dense eigensolver input is not symmetric within tolerance."""
+    """Dense eigensolver input is complex or not symmetric within tolerance,
+    or a spectrum to classify is complex."""
 
 
 class DimensionMismatch(LmgError):
@@ -27,10 +28,6 @@ class DimensionTooLarge(LmgError):
 
 class EmptySpectrum(LmgError):
     """Spectrum classification called with no eigenvalues."""
-
-
-class MethodUnavailable(LmgError):
-    """Requested eigenvalue method is not applicable at this problem size."""
 
 
 class NonFiniteInput(LmgError):

@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySpectrum, NonFiniteInput, NotIntegerSpin, OverflowRisk
+from .errors import (DimensionMismatch, EmptySpectrum, NonFiniteInput, NotIntegerSpin,
+                     NotSymmetric, OverflowRisk)
 from .models import supercharge_chain, susy_sector_blocks
 from .spin import SpinJ, build_spin_operators
 
@@ -104,12 +105,12 @@ class SuperalgebraResiduals:
     r_comm: float
     h_norm: float
 
-    def bound(self, tol: float = 1e-10) -> float:
-        """The largest residual that passes: tol * max(1, ||H||)."""
-        return tol * max(1.0, self.h_norm)
+    def bound(self) -> float:
+        """The largest residual that passes: 1e-10 * max(1, ||H||)."""
+        return 1e-10 * max(1.0, self.h_norm)
 
-    def passed(self, tol: float = 1e-10) -> bool:
-        bound = self.bound(tol)
+    def passed(self) -> bool:
+        bound = self.bound()
         return all(
             r <= bound for r in (self.r_q1_sq, self.r_q2_sq, self.r_anti, self.r_comm)
         )
@@ -202,10 +203,16 @@ def classify_spectrum(eigs, j: SpinJ, tol: float = 1e-8) -> SpectrumReport:
     SusyPattern requires integer J, exactly one eigenvalue within the scaled
     zero tolerance, and every remaining eigenvalue paired with relative split
     <= tol.  Half-integer spectra pair completely (time-reversal doublets)
-    but have no zero mode, hence SusyBroken.  NonFiniteInput on a NaN or inf
-    eigenvalue; ValueError unless 0 < tol < inf.
+    but have no zero mode, hence SusyBroken.  NotSymmetric on complex
+    eigenvalues, DimensionMismatch unless eigs is 1-D, NonFiniteInput on a
+    NaN or inf eigenvalue; ValueError unless 0 < tol < inf.
     """
-    eigs = np.asarray(eigs, dtype=float)
+    eigs = np.asarray(eigs)
+    if np.iscomplexobj(eigs):
+        raise NotSymmetric("eigenvalues are complex; need the spectrum of a symmetric matrix")
+    if eigs.ndim != 1:
+        raise DimensionMismatch(f"need a 1-D spectrum, got shape {eigs.shape}")
+    eigs = eigs.astype(float, copy=False)
     if eigs.size == 0:
         raise EmptySpectrum("no eigenvalues to classify")
     if not np.isfinite(eigs).all():

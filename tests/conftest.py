@@ -1,15 +1,17 @@
 """Shared oracles and reference fixtures for the test suite.
 
 Everything here is built independently of the package internals: complex
-ladder-operator matrices, a Rodrigues-sum Legendre evaluator, and the
-explicit J=2 reference matrices (analytic closed forms over cosh/sinh of
-2*gamma), so that library results are checked against constructions that
-share no code with the implementation.  The exceptions are independent
+ladder-operator matrices, a Rodrigues-sum Legendre evaluator, the explicit
+J=2 reference matrices (analytic closed forms over cosh/sinh of 2*gamma)
+and circle_gap, the gap's limit at fixed J*gamma from a Fourier matrix of
+the SUSY circle problem, so that library results are checked against
+constructions that share no code with the implementation.  The exceptions are independent
 kernels rather than independent constructions: supercharge_sigma_min
 (LAPACK dstebz) takes the supercharge chain from lmgspec.models,
 charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly,
 charpoly_factorization_residual compares lmgspec's charpoly_tridiag
-polynomials, and h_minus_elements, reversed_conjugate,
+polynomials, dense_gap diagonalizes lmgspec's formed gap-sector block with
+its eig_dense_symmetric, and h_minus_elements, reversed_conjugate,
 symmetrize_tridiag and diagonal_lower_bound, the similarity argument for
 the gap bound cosh(2*gamma), build or act on lmgspec's GeneralTridiag, and
 ldl_factors_one_row repeats the gap kernel's factor arithmetic one gamma
@@ -30,6 +32,8 @@ from lmgspec import (
     OverflowRisk,
     SpinJ,
     charpoly_tridiag,
+    eig_dense_symmetric,
+    gap_sector_tridiag,
     supercharge_chain,
 )
 
@@ -91,6 +95,30 @@ def supercharge_sigma_min(j: SpinJ, gamma: float) -> float:
         np.zeros(j.dim), chain, select="i", select_range=(k, k),
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
     )[0])
+
+
+def dense_gap(j: SpinJ, gamma: float) -> float:
+    """The spectral gap at integer J >= 1 as the smallest eigenvalue of the
+    formed J x J gap-sector block, by one dense LAPACK eigvalsh call."""
+    return float(eig_dense_symmetric(gap_sector_tridiag(j, gamma).to_dense())[0])
+
+
+def circle_gap(x: float) -> float:
+    """f(x), the limit of the spectral gap at fixed x = J gamma as J grows.
+
+    Near m_x = 0 with gamma = x/J the rotated Hamiltonian tends to SUSY
+    quantum mechanics on a circle, p^2 + x^2 sin^2 phi +- x cos phi
+    (Witten 1981), with integer p at integer J.  In the Fourier basis
+    e^(i n phi), n = -80 .. 80, that is a pentadiagonal matrix with
+    n^2 + x^2/2 on the diagonal, x/2 at distance 1 and -x^2/4 at distance
+    2; n up to 40 agrees to 2e-12 at x <= 10.  Its lowest eigenvalue is
+    the zero mode, and f(x) is its second; f(0) = 1, the gap at gamma = 0.
+    """
+    n = np.arange(-80, 81, dtype=float)
+    h = np.diag(n * n + x * x / 2.0)
+    for k, v in ((1, x / 2.0), (2, -x * x / 4.0)):
+        h += np.diag(np.full(n.size - k, v), k) + np.diag(np.full(n.size - k, v), -k)
+    return float(np.linalg.eigvalsh(h)[1])
 
 
 def charpoly_dense(m: np.ndarray) -> CharPoly:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_gap,
     ref_a_vec_j2,
     ref_h_minus_j2,
     ref_h_plus_j2,
@@ -132,7 +133,7 @@ def test_criterion_04_gap_bound(capsys):
     for jj in (5, 10, 15, 25, 30, 100, 1000):
         jv = SpinJ(2 * jj)
         for g in np.linspace(0.0, 3.0, 50):
-            res = spectral_gap(jv, float(g), method="tridiag")
+            res = spectral_gap(jv, float(g))
             ok = ok and res.gap >= res.bound - 1e-9
         err = abs(spectral_gap(jv, 0.0).gap - 1.0)
         worst_zero = max(worst_zero, err)
@@ -221,8 +222,8 @@ def test_criterion_08_oracle_equivalence(capsys):
     for jj in range(1, 41):
         jv = SpinJ(2 * jj)
         for g in (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0):
-            a = spectral_gap(jv, g, method="tridiag").gap
-            b = spectral_gap(jv, g, method="dense").gap
+            a = spectral_gap(jv, g).gap
+            b = dense_gap(jv, g)
             worst = max(worst, abs(a - b))
             ok = ok and abs(a - b) <= 1e-9
     elapsed = time.perf_counter() - start

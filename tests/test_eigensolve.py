@@ -1,5 +1,6 @@
 """Gap solvers, dense oracle, characteristic polynomials, gap machinery."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,8 @@ from conftest import (
     CRITERION_10_J,
     GRID_GAMMAS,
     charpoly_dense,
+    circle_gap,
+    dense_gap,
     diagonal_lower_bound,
     gap_closed_form_j2,
     h_minus_elements,
@@ -29,13 +32,11 @@ from lmgspec.eigensolve import (
     _gap_inverse_iteration,
     _gap_ldl_factors,
     _gap_window,
-    _runs,
 )
 from lmgspec import (
     CharPoly,
     DimensionMismatch,
     DimensionTooLarge,
-    MethodUnavailable,
     NonFiniteInput,
     NotConverged,
     NotIntegerSpin,
@@ -73,11 +74,14 @@ def ldl_factors(cells, windows=None):
     """One _gap_ldl_factors call on a batch of cells, each row on its
     window (default: all J columns): the rows (d, l, x) of each cell."""
     windows = windows or [j.two_j // 2 for j, _ in cells]
-    groups, size = _runs(cells, windows)
-    d, l, x = np.empty((3, size))
-    _gap_ldl_factors(cells, groups, d, l, x)
-    return [tuple(a[p + i * n:p + (i + 1) * n] for a in (d, l, x))
-            for _, m, n, p in groups for i in range(m)]
+    bufs = _gap_ldl_factors(cells, windows)
+    ends = np.cumsum(windows)
+    return [tuple(a[q - n:q] for a in bufs) for q, n in zip(ends, windows)]
+
+
+def runs(cells, windows):
+    """The number of runs of cells with one J and one window."""
+    return len(list(itertools.groupby(zip([j.two_j for j, _ in cells], windows))))
 
 
 def random_tridiag(rng, n=12):
@@ -151,6 +155,12 @@ class TestDenseOracle:
     def test_rejects_asymmetric(self, rng):
         with pytest.raises(NotSymmetric):
             eig_dense_symmetric(rng.standard_normal((5, 5)))
+
+    def test_rejects_complex(self):
+        # Hermitian, with eigenvalues 0 and 2; a cast to float would drop
+        # the imaginary part and return [1, 1].
+        with pytest.raises(NotSymmetric):
+            eig_dense_symmetric(np.array([[1, 1j], [-1j, 1]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -268,9 +278,7 @@ class TestSpectralGap:
     @pytest.mark.parametrize("g", [0.0, 0.4, 1.3, -0.9])
     @pytest.mark.parametrize("two_j", [2, 14, 40, 80])
     def test_tridiag_vs_dense(self, two_j, g):
-        a = spectral_gap(SpinJ(two_j), g, method="tridiag")
-        b = spectral_gap(SpinJ(two_j), g, method="dense")
-        assert abs(a.gap - b.gap) < 1e-9
+        assert abs(spectral_gap(SpinJ(two_j), g).gap - dense_gap(SpinJ(two_j), g)) < 1e-9
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 2.0])
     def test_gap_equals_first_excited_level(self, g):
@@ -293,10 +301,6 @@ class TestSpectralGap:
     def test_errors(self):
         with pytest.raises(NotIntegerSpin):
             spectral_gap(SpinJ(3), 0.5)
-        with pytest.raises(MethodUnavailable):
-            spectral_gap(SpinJ(2000), 0.5, method="dense")
-        with pytest.raises(MethodUnavailable):
-            spectral_gap(SpinJ(4), 0.5, method="magic")
         with pytest.raises(NotIntegerSpin):
             spectral_gap(SpinJ(0), 0.5)
 
@@ -610,8 +614,8 @@ class TestGapGrid:
         # batch of 14 runs).
         builds, windows = [], []
         build, window = eigensolve._gap_ldl_factors, eigensolve._gap_window
-        monkeypatch.setattr(eigensolve, "_gap_ldl_factors", lambda cells, groups, *bufs: (
-            builds.append((len(cells), len(groups))) or build(cells, groups, *bufs)))
+        monkeypatch.setattr(eigensolve, "_gap_ldl_factors", lambda cells, ks: (
+            builds.append((len(cells), runs(cells, ks))) or build(cells, ks)))
         monkeypatch.setattr(eigensolve, "_gap_window",
                             lambda j, g: windows.append((j, g)) or window(j, g))
         spectral_gap_cells(self.CELLS)
@@ -625,7 +629,7 @@ class TestGapGrid:
             (str(jj), i * 3.0 / 49) for jj in CRITERION_10_J for i in range(50)]
         assert builds == [(len(windows), 14)]
         for cells, n in ((self.CELLS, 26), (windows, 14)):
-            assert len(batches(cells)) == 1 and len(_runs(cells, windows_of(cells))[0]) == n
+            assert len(batches(cells)) == 1 and runs(cells, windows_of(cells)) == n
 
     def test_dpttrs_calls_and_elements(self, monkeypatch):
         # The grid is one batch of 59250 doubles.  Measured: 30 dpttrs
@@ -767,6 +771,25 @@ class TestGapWindow:
         asymptote = jj * math.sinh(2 * g) - 0.5 * math.exp(-2 * g)
         tol = 1.5 * self.HP_REMAINDER[g] / jj + 8 * math.ulp(res.gap)
         assert abs(res.gap - asymptote) <= tol and res.satisfied
+
+
+class TestCircleLimit:
+    X = (0.1, 1.0, 3.0, 10.0)
+
+    def test_gap_at_fixed_j_gamma(self):
+        """At gamma = x/J the gap tends to the SUSY circle's f(x)
+        (conftest.circle_gap) with a 1/J term, which the Richardson value
+        (10 g(10^6) - g(10^5)) / 9 removes.  These cells take the O(J)
+        path, where J |gamma| = O(1) and the Holstein-Primakoff asymptote
+        does not hold.  Measured relative errors: 7.6e-12, 2.8e-11, 6.2e-11
+        and 6.4e-10 at x = 0.1, 1, 3 and 10.  The tolerance 2e-9 is that
+        measured remainder times about 3, not a derived bound."""
+        cells = [(SpinJ(2 * jj), x / jj) for jj in (10**5, 10**6) for x in self.X]
+        gaps = [r.gap for r in spectral_gap_cells(cells)]
+        n = len(self.X)
+        for x, g5, g6 in zip(self.X, gaps[:n], gaps[n:]):
+            f = circle_gap(x)
+            assert abs((10.0 * g6 - g5) / 9.0 - f) <= 2e-9 * f
 
 
 class TestGapBits:

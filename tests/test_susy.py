@@ -12,6 +12,7 @@ from lmgspec import (
     EmptySpectrum,
     NonFiniteInput,
     NotIntegerSpin,
+    NotSymmetric,
     OverflowRisk,
     SpinJ,
     SymTridiag,
@@ -64,7 +65,7 @@ class TestSupercharges:
     def test_superalgebra_residuals(self, two_j, g):
         jv = SpinJ(two_j)
         res = verify_superalgebra(build_supercharges(jv, g), susy_sorted_hamiltonian(jv, g))
-        assert res.passed(1e-10)
+        assert res.passed()
         bound = 1e-12 * max(1.0, res.h_norm)
         assert res.r_q1_sq <= bound
         assert res.r_q2_sq <= bound
@@ -90,7 +91,7 @@ class TestSuperalgebraBands:
             dense = verify_superalgebra(build_supercharges(jv, g), susy_sorted_hamiltonian(jv, g))
             # the closed-form blocks and the dense products round differently
             assert bands.h_norm == pytest.approx(dense.h_norm, rel=8 * np.finfo(float).eps)
-            assert bands.passed(1e-10) and dense.passed(1e-10)
+            assert bands.passed() and dense.passed()
             assert bands.r_q2_sq == bands.r_q1_sq and bands.r_anti == 0.0
 
     def test_mutated_chain_fails(self, monkeypatch):
@@ -102,10 +103,10 @@ class TestSuperalgebraBands:
             return e
 
         jv, g = SpinJ(20), 0.7
-        assert verify_superalgebra_bands(jv, g).passed(1e-10)
+        assert verify_superalgebra_bands(jv, g).passed()
         monkeypatch.setattr(susy, "supercharge_chain", mutant)
         res = verify_superalgebra_bands(jv, g)
-        assert not res.passed(1e-10)
+        assert not res.passed()
         assert res.r_q1_sq > 1e-10 * res.h_norm and res.r_comm > 1e-10 * res.h_norm
 
     def test_dropped_gap_reversal_fails(self, monkeypatch):
@@ -118,7 +119,7 @@ class TestSuperalgebraBands:
 
         monkeypatch.setattr(susy, "susy_sector_blocks", mutant)
         res = verify_superalgebra_bands(SpinJ(20), 0.7)
-        assert not res.passed(1e-10)
+        assert not res.passed()
 
     def test_j_zero(self):
         res = verify_superalgebra_bands(SpinJ(0), 0.5)
@@ -174,6 +175,15 @@ class TestClassifySpectrum:
             classify_spectrum(np.array([1.0, 0.0]), SpinJ(2))
         with pytest.raises(ValueError):
             classify_spectrum(np.array([0.0, 1.0]), SpinJ(2), tol=0.0)
+
+    def test_complex_spectrum_raises(self):
+        with pytest.raises(NotSymmetric):
+            classify_spectrum([0, 1 + 1j, 1 + 1j], SpinJ(2))
+
+    @pytest.mark.parametrize("eigs", [np.zeros((2, 2)), np.float64(1.0)])
+    def test_spectrum_not_1d_raises(self, eigs):
+        with pytest.raises(DimensionMismatch):
+            classify_spectrum(eigs, SpinJ(2))
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tol_raises(self, tol):
