@@ -41,7 +41,6 @@ from .susy import (
     verify_superalgebra_bands,
 )
 from .eigensolve import (
-    CharPoly,
     GapResult,
     charpoly_tridiag,
     eig_dense_symmetric,

@@ -23,13 +23,13 @@
   call (eig_symtridiag), absolute error a few ulps of ||t||.
 * All eigenvalues of a dense symmetric matrix (LAPACK eigvalsh), for the
   spectra that spectrum and susy-check classify and for cross-checks.
-* Characteristic polynomials by a three-term recurrence for tridiagonal
-  matrices, with which acceptance criterion 6 and the tests verify the
-  determinant factorization of the non-Hermitian form.
+* Characteristic polynomials of tridiagonal matrices as numpy Polynomials,
+  by a three-term recurrence, with which acceptance criterion 6 and the
+  tests verify the determinant factorization of the non-Hermitian form.
 
-scipy's LAPACK wrappers (dtbtrs, dpttrs, eigvalsh_tridiagonal) are imported
-inside the functions that call them, on their first call: importing scipy.linalg
-takes about 0.2 s, and nothing else in the package needs scipy.
+scipy's LAPACK wrappers and numpy.polynomial are imported inside the functions
+that call them, on their first call: they take about 0.2 s and 13 ms to import,
+and nothing else in the package needs them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .spin import SpinJ, ladder
 from .tridiag import GeneralTridiag, SymTridiag
 
 __all__ = [
-    "CharPoly",
     "GapResult",
     "eig_symtridiag",
     "eig_dense_symmetric",
@@ -457,40 +456,19 @@ def eig_dense_symmetric(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial, coefficients stored ascending-degree."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, self.coeffs))
-
-    def __mul__(self, other: "CharPoly") -> "CharPoly":
-        return CharPoly(np.polynomial.polynomial.polymul(self.coeffs, other.coeffs))
-
-    def times_lambda(self) -> "CharPoly":
-        """Multiply by the spectral variable (append a zero root)."""
-        return CharPoly(np.concatenate([[0.0], self.coeffs]))
-
-
 _CHARPOLY_TRIDIAG_MAX = 60
 
 
-def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> CharPoly:
+def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> np.polynomial.Polynomial:
     """Characteristic polynomial of a tridiagonal matrix via the three-term
-    recurrence p_k = (lam - alpha_k) p_{k-1} - (super_{k-1} sub_{k-1}) p_{k-2}.
+    recurrence p_k = (lam - alpha_k) p_{k-1} - (super_{k-1} sub_{k-1}) p_{k-2},
+    run on arrays and returned as a numpy.polynomial.Polynomial.
 
     Depends only on the off-diagonal products, so permutation-equivalent and
     similarity-symmetrized matrices give bit-identical coefficients.
     """
+    from numpy.polynomial import Polynomial
+
     if isinstance(a, SymTridiag):
         a = a.to_general()
     n = a.n
@@ -504,7 +482,7 @@ def charpoly_tridiag(a: Union[GeneralTridiag, SymTridiag]) -> CharPoly:
         term = np.concatenate([[0.0], p]) - a.alpha[k] * np.concatenate([p, [0.0]])
         term[: len(p_prev)] -= prod[k - 1] * p_prev
         p_prev, p = p, term
-    return CharPoly(p)
+    return Polynomial(p)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,10 @@ def _norm(x: np.ndarray) -> float:
 
 
 def legendre_p(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x) by the Bonnet loop, kept finite wherever it is."""
+    """Legendre polynomial P_n(x) by the Bonnet loop, kept finite wherever it is;
+    NonFiniteInput on a NaN or infinite x."""
+    if not math.isfinite(x):
+        raise NonFiniteInput(f"x must be finite, got {x!r}")
     return _ldexp(*_bonnet(n, x), f"P_{n}({x!r})")
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OverflowRisk
+from .errors import DimensionMismatch, NonFiniteInput, OverflowRisk
 
 __all__ = [
     "SpinJ",
@@ -68,7 +68,7 @@ class SpinJ:
         return np.arange(self.dim) - self.j
 
     def __str__(self) -> str:
-        return str(self.two_j // 2) if self.is_integer_spin() else str(self.two_j / 2)
+        return str(self.two_j // 2) if self.is_integer_spin() else f"{self.two_j // 2}.5"
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,21 @@ def mat_exp_scaled(m: np.ndarray, t: float) -> np.ndarray:
     """exp(t*m) by scaling-and-squaring with a truncated Taylor series.
 
     Series terms are added until their max-norm drops below 1e-18 relative;
-    squaring count is s = max(0, ceil(log2(||t*m||_1))).  Raises OverflowRisk
-    when |t|*||m||_1 exceeds the exp(700) representability guard.
+    squaring count is s = max(0, ceil(log2(||t*m||_1))).  Raises
+    DimensionMismatch unless m is a square 2-D matrix, NonFiniteInput on a
+    NaN or infinite t or entry of m, and OverflowRisk when |t|*||m||_1
+    exceeds the exp(700) representability guard.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"need a square 2-D matrix, got shape {m.shape}")
     n = m.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(m), axis=0))) if n else 0.0
+    if not math.isfinite(t):
+        raise NonFiniteInput(f"t must be finite, got {t!r}")
+    abs_m = np.abs(m)
+    if not math.isfinite(float(np.max(abs_m, initial=0.0))):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    norm1 = float(np.max(np.sum(abs_m, axis=0), initial=0.0))
     if abs(t) * norm1 > MATEXP_ARG_LIMIT:
         raise OverflowRisk(
             f"|t|*||m||_1 = {abs(t) * norm1:.3g} exceeds the {MATEXP_ARG_LIMIT:g} guard"
@@ -125,11 +134,11 @@ def mat_exp_scaled(m: np.ndarray, t: float) -> np.ndarray:
     a = (t / (1 << s)) * m
     result = np.eye(n)
     term = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
     for k in range(1, 60):
         term = term @ a / k
         result = result + term
-        if np.max(np.abs(term)) < 1e-18 * scale:
+        if np.max(np.abs(term), initial=0.0) < 1e-18 * scale:
             break
     for _ in range(s):
         result = result @ result

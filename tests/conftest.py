@@ -2,13 +2,13 @@
 
 Everything here is built independently of the package internals: complex
 ladder-operator matrices, a Rodrigues-sum Legendre evaluator, the explicit
-J=2 reference matrices (analytic closed forms over cosh/sinh of 2*gamma)
-and circle_gap, the gap's limit at fixed J*gamma from a Fourier matrix of
+J=2 reference matrices (analytic closed forms over cosh/sinh of 2*gamma),
+charpoly_dense (Faddeev-LeVerrier, returning a numpy Polynomial) and
+circle_gap, the gap's limit at fixed J*gamma from a Fourier matrix of
 the SUSY circle problem, so that library results are checked against
 constructions that share no code with the implementation.  The exceptions are independent
 kernels rather than independent constructions: supercharge_sigma_min
 (LAPACK dstebz) takes the supercharge chain from lmgspec.models,
-charpoly_dense (Faddeev-LeVerrier) returns lmgspec's CharPoly,
 charpoly_factorization_residual compares lmgspec's charpoly_tridiag
 polynomials, dense_gap diagonalizes lmgspec's formed gap-sector block with
 its eig_dense_symmetric, and h_minus_elements, reversed_conjugate,
@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrs, dtbtrs
 
 from lmgspec import (
-    CharPoly,
     DimensionTooLarge,
     GeneralTridiag,
     OverflowRisk,
@@ -121,7 +121,7 @@ def circle_gap(x: float) -> float:
     return float(np.linalg.eigvalsh(h)[1])
 
 
-def charpoly_dense(m: np.ndarray) -> CharPoly:
+def charpoly_dense(m: np.ndarray) -> Polynomial:
     """Characteristic polynomial of a small dense matrix via the
     Faddeev-LeVerrier trace recursion (conditioning guard: dimension <= 25)."""
     m = np.asarray(m, dtype=np.longdouble)
@@ -136,7 +136,7 @@ def charpoly_dense(m: np.ndarray) -> CharPoly:
         c = -np.trace(work) / k
         coeffs[n - k] = c
         work = work + c * np.eye(n, dtype=np.longdouble)
-    return CharPoly(coeffs.astype(float))
+    return Polynomial(coeffs.astype(float))
 
 
 def charpoly_factorization_residual(hn: np.ndarray, blocks) -> float:
@@ -151,16 +151,17 @@ def charpoly_factorization_residual(hn: np.ndarray, blocks) -> float:
     """
     k = math.frexp(float(np.max(np.abs(hn))))[1]
 
-    def scaled_charpoly(t: GeneralTridiag) -> CharPoly:
+    def scaled_charpoly(t: GeneralTridiag) -> Polynomial:
         return charpoly_tridiag(GeneralTridiag(
             alpha=np.ldexp(t.alpha, -k), beta=np.ldexp(t.beta, -k),
             gamma_sub=np.ldexp(t.gamma_sub, -k)))
 
     lhs = scaled_charpoly(GeneralTridiag(
         alpha=np.diag(hn), beta=-np.diag(hn, 1), gamma_sub=np.diag(hn, -1)))
-    rhs = (scaled_charpoly(blocks.h_plus) * scaled_charpoly(blocks.h_minus)).times_lambda()
-    scale = np.maximum(1.0, np.abs(rhs.coeffs))
-    return float(np.max(np.abs(lhs.coeffs - rhs.coeffs) / scale))
+    lam = Polynomial([0.0, 1.0])
+    rhs = scaled_charpoly(blocks.h_plus) * scaled_charpoly(blocks.h_minus) * lam
+    scale = np.maximum(1.0, np.abs(rhs.coef))
+    return float(np.max(np.abs(lhs.coef - rhs.coef) / scale))
 
 
 def h_minus_elements(j: SpinJ, gamma: float) -> GeneralTridiag:

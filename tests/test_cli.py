@@ -231,6 +231,8 @@ class TestSpectrum:
     def test_too_large_j_rejected(self, capsys):
         code, _, err = run(capsys, "spectrum", "--j", "500", "--gamma", "0")
         assert code == 2 and "error" in err
+        code, _, err = run(capsys, "spectrum", "--j", "9007199254740993/2", "--gamma", "0")
+        assert code == 2 and err.startswith("error: J=4503599627370496.5 exceeds")
 
     def test_gamma_flag_conflicts(self, capsys):
         code, _, err = run(
@@ -302,6 +304,10 @@ class TestGapScan:
         _, rows = csv_rows(out)
         marks = {r["j"]: r["satisfied"] for r in rows}
         assert marks["2"] == "true" and marks["1.5"] == "error"
+        # 2J = 2^53 + 1, which J as a float would print as 4503599627370496.0
+        code, out, _ = run(capsys, "gap-scan", "--j-list", "9007199254740993/2,5",
+                           "--gamma", "0.5")
+        assert code == 0 and out.splitlines()[1] == "4503599627370496.5,0.5,,,error"
 
     def test_all_rows_failing_exits_one(self, capsys):
         code, out, _ = run(capsys, "gap-scan", "--j-list", "1.5", "--gamma", "0.5")

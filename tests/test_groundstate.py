@@ -70,6 +70,11 @@ class TestLegendre:
         with pytest.raises(OverflowRisk):
             legendre_p(400, math.cosh(4.0))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x(self, x):
+        with pytest.raises(NonFiniteInput):
+            legendre_p(3, x)
+
 
 class TestGroundState:
     def test_gamma_zero_is_indicator(self):

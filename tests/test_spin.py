@@ -10,6 +10,8 @@ from scipy.linalg import expm
 
 from conftest import complex_spin_ops
 from lmgspec import (
+    DimensionMismatch,
+    NonFiniteInput,
     NotIntegerSpin,
     OverflowRisk,
     SpinJ,
@@ -72,6 +74,8 @@ class TestSpinJ:
         assert not j.is_integer_spin()
         assert str(j) == "1.5"
         assert np.array_equal(j.m_values(), [-1.5, -0.5, 0.5, 1.5])
+        # (2^53 + 1) / 2 as a float rounds to 4503599627370496.0
+        assert str(SpinJ(2**53 + 1)) == "4503599627370496.5"
 
 
 class TestOperators:
@@ -152,6 +156,21 @@ class TestMatExp:
         s = build_spin_operators(SpinJ(40))
         with pytest.raises(OverflowRisk):
             mat_exp_scaled(s.jx, 1e3)
+
+    @pytest.mark.parametrize("m,t", [(np.array([[math.nan]]), 1.0), (np.eye(2), math.nan),
+                                     (np.eye(2), math.inf), (np.zeros((2, 2)), math.inf),
+                                     (np.array([[1.0, -math.inf], [0.0, 1.0]]), 0.5)])
+    def test_non_finite_input(self, m, t):
+        with pytest.raises(NonFiniteInput):
+            mat_exp_scaled(m, t)
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+    def test_not_a_square_matrix(self, m):
+        with pytest.raises(DimensionMismatch):
+            mat_exp_scaled(m, 1.0)
+
+    def test_empty_matrix(self):
+        assert mat_exp_scaled(np.zeros((0, 0)), 1.0).shape == (0, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(-3, 3), seed=st.integers(0, 2**16))
